@@ -708,8 +708,8 @@ fn batched_composite_seconds(
 /// One timed pass pushing every chip through every epoch at the given
 /// batch width. Engine construction happens outside the timed region (it
 /// is identical setup at every width and every pass must start from fresh
-/// health); width 1 times the plain serial engine loop — the exact
-/// `--batch 1` code path.
+/// health); width 1 times the plain serial engine loop — the scalar epoch
+/// every one-lane claim runs at `--batch 1`.
 fn batched_epochs_seconds(systems: &[ChipSystem], config: &SimulationConfig, width: usize) -> f64 {
     let epochs = config.epoch_count();
     let build = |chunk: &[ChipSystem]| -> Vec<SimulationEngine> {

@@ -1,14 +1,17 @@
-//! Lockstep execution of N chips per worker claim — the batched
-//! structure-of-arrays data path.
+//! Lockstep execution of the chips in one worker claim — the executor's
+//! only claim path, at every batch width.
 //!
 //! A [`ChipBatch`] owns B [`SimulationEngine`]s built from the same
 //! campaign configuration and advances them **in lockstep** through the
-//! epoch loop: every lane's policy decision runs serially in canonical
-//! order against one batch-shared [`PolicyScratch`] (amortizing the warmed
-//! candidate-scan and aging-curve caches), then each control period runs
-//! every lane's DTM/power half-step before a single batched thermal solve
-//! ([`BatchedTransient`]) advances all lanes' temperature vectors through
-//! one cached factorization traversal.
+//! epoch loop. An epoch with exactly one active lane (every epoch of a
+//! width-1 claim) runs that engine's scalar [`SimulationEngine::run_epoch`].
+//! With two or more active lanes, every lane's policy decision runs
+//! serially in canonical order against one batch-shared [`PolicyScratch`]
+//! (amortizing the warmed candidate-scan and aging-curve caches), then each
+//! control period runs every lane's DTM/power half-step before a single
+//! batched thermal solve ([`BatchedTransient`], built the first time two
+//! lanes step together) advances all lanes' temperature vectors through one
+//! cached factorization traversal.
 //!
 //! The hot state is structure-of-arrays where it pays: the B right-hand
 //! sides of the implicit thermal solve interleave per node
@@ -16,13 +19,16 @@
 //! per-chip health, leakage, and rise state stay inside each engine — the
 //! SoA strides across chips and never reassociates within a chip, so every
 //! lane performs exactly the FP operation sequence of a serial
-//! [`SimulationEngine::run_epoch`] and batch output is byte-identical to
-//! `--batch 1` (pinned by `batched_epochs_match_serial_bitwise` and the
-//! campaign-level proptests).
+//! [`SimulationEngine::run_epoch`] and output is byte-identical at every
+//! batch width (pinned by `batched_epochs_match_serial_bitwise`, by
+//! `batched_execution_reproduces_the_serial_campaign_exactly` against
+//! per-chip `Campaign::run_one`, and by the campaign-level proptests).
 //!
-//! Telemetry shape differs under batching (one `thermal.transient.step`
-//! span per batched step instead of per chip; lanes' spans interleave);
-//! campaign *output* is unaffected — spans are observational.
+//! Telemetry shape differs when lanes step together (one
+//! `thermal.transient.step` span per batched step instead of per chip;
+//! lanes' spans interleave); a one-lane epoch records exactly the scalar
+//! engine's spans. Campaign *output* is unaffected — spans are
+//! observational.
 
 use crate::metrics::EpochRecord;
 use crate::policy::PolicyScratch;
@@ -45,7 +51,9 @@ pub struct ChipBatch {
     /// state between decisions), so serial per-lane decisions through it
     /// are output-identical to per-engine scratches.
     scratch: RefCell<PolicyScratch>,
-    thermal: BatchedTransient,
+    /// The lockstep thermal stepper, built the first time two or more
+    /// lanes step together (a one-lane claim never clones the RC network).
+    thermal: Option<BatchedTransient>,
     /// Per-lane power buffers, reused across steps and epochs.
     powers: Vec<Vec<Watts>>,
 }
@@ -77,14 +85,13 @@ impl ChipBatch {
             start_epochs.len(),
             "one start epoch per engine"
         );
-        let thermal = BatchedTransient::new(engines[0].system().transient());
         let cores = engines[0].system().floorplan().core_count();
         let powers = engines.iter().map(|_| Vec::with_capacity(cores)).collect();
         ChipBatch {
             engines,
             start_epochs,
             scratch: RefCell::new(PolicyScratch::new()),
-            thermal,
+            thermal: None,
             powers,
         }
     }
@@ -120,13 +127,16 @@ impl ChipBatch {
     /// Runs `epoch` across every lane whose run has reached it, in
     /// lockstep, returning `(lane, record)` pairs in lane order. Each
     /// lane's record is bit-identical to what its engine's serial
-    /// [`SimulationEngine::run_epoch`] would have produced.
+    /// [`SimulationEngine::run_epoch`] would have produced — with one
+    /// active lane, it *is* that call.
     pub fn run_epoch(&mut self, epoch: usize) -> Vec<(usize, EpochRecord)> {
         let active: Vec<usize> = (0..self.engines.len())
             .filter(|&lane| self.start_epochs[lane] <= epoch)
             .collect();
-        if active.is_empty() {
-            return Vec::new();
+        match active[..] {
+            [] => return Vec::new(),
+            [lane] => return vec![(lane, self.engines[lane].run_epoch(epoch))],
+            _ => {}
         }
         // Phase 1 — decisions, serial in canonical lane order through the
         // shared scratch. Each lane's epoch span covers its decision (the
@@ -153,6 +163,9 @@ impl ChipBatch {
         let steps = accums[0].steps;
         let dt = self.engines[active[0]].config().control_period();
         let recorder = Arc::clone(self.engines[active[0]].recorder());
+        let thermal = self
+            .thermal
+            .get_or_insert_with(|| BatchedTransient::new(self.engines[0].system().transient()));
         for step in 0..steps {
             for ((&lane, decision), accum) in active.iter().zip(&mut decisions).zip(&mut accums) {
                 self.engines[lane].window_power_step(step, decision, accum, &mut self.powers[lane]);
@@ -170,8 +183,7 @@ impl ChipBatch {
                         power: &powers[lane],
                     })
                     .collect();
-                self.thermal
-                    .step_recorded(dt, &mut lanes, recorder.as_ref());
+                thermal.step_recorded(dt, &mut lanes, recorder.as_ref());
             }
             for (&lane, accum) in active.iter().zip(&mut accums) {
                 self.engines[lane].window_absorb_step(accum);
@@ -243,7 +255,7 @@ mod tests {
     #[test]
     fn staggered_start_epochs_skip_inactive_lanes() {
         let config = SimulationConfig::quick_demo();
-        let serial: Vec<_> = engines(2)
+        let serial: Vec<_> = engines(3)
             .into_iter()
             .map(|mut engine| {
                 let mut metrics = engine.start_metrics();
@@ -251,17 +263,19 @@ mod tests {
                 metrics
             })
             .collect();
-        // Lane 1 joins one epoch late, as a resumed run would; lane 0's
-        // records must still match the serial path exactly, and lane 1 must
-        // produce records only for the epochs it ran.
-        let mut batch = ChipBatch::with_start_epochs(engines(2), vec![0, 1]);
-        let mut per_lane: Vec<Vec<EpochRecord>> = vec![Vec::new(); 2];
+        // Lane 1 joins one epoch late, as a resumed run would, while lanes
+        // 0 and 2 step together around it; their records must still match
+        // the serial path exactly, and lane 1 must produce records only for
+        // the epochs it ran.
+        let mut batch = ChipBatch::with_start_epochs(engines(3), vec![0, 1, 0]);
+        let mut per_lane: Vec<Vec<EpochRecord>> = vec![Vec::new(); 3];
         for epoch in 0..config.epoch_count() {
             for (lane, record) in batch.run_epoch(epoch) {
                 per_lane[lane].push(record);
             }
         }
         assert_eq!(per_lane[0], serial[0].epochs);
+        assert_eq!(per_lane[2], serial[2].epochs);
         assert_eq!(per_lane[1].len(), config.epoch_count() - 1);
         assert_eq!(per_lane[1][0].epoch, 1);
     }

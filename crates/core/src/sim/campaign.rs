@@ -673,13 +673,20 @@ mod tests {
     fn batched_execution_reproduces_the_serial_campaign_exactly() {
         // `--batch` is a pure execution knob: lockstep lanes preserve every
         // chip's FP op order, so any width must reproduce the serial bytes.
+        // The reference is `run_one`, which drives `SimulationEngine::run`
+        // directly and never enters the executor's claim path.
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
-        let serial = tiny_campaign().run_with_jobs(&policies, Jobs::serial());
-        for width in [2, 3, 64] {
+        let c = tiny_campaign();
+        let serial: Vec<RunMetrics> = policies
+            .iter()
+            .flat_map(|&kind| (0..c.config().chip_count).map(move |chip| (kind, chip)))
+            .map(|(kind, chip)| c.run_one(kind, chip))
+            .collect();
+        for width in [1, 2, 3, 64] {
             let batched = tiny_campaign()
                 .with_batch(Batch::new(width).unwrap())
                 .run_with_jobs(&policies, Jobs::serial());
-            assert_eq!(serial, batched, "batch width {width} drifted");
+            assert_eq!(serial, batched.runs, "batch width {width} drifted");
         }
     }
 

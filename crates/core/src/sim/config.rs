@@ -286,21 +286,21 @@ impl std::str::FromStr for Jobs {
     }
 }
 
-/// Chips per worker claim for batched campaign execution (the `--batch`
-/// flag): each claim pulls this many *consecutive canonical-order* chips
-/// and runs them in lockstep through the structure-of-arrays epoch loop
-/// (`ChipBatch`).
+/// Chips per worker claim (the `--batch` flag): each claim pulls this many
+/// *consecutive canonical-order* chips and runs them in lockstep through
+/// `ChipBatch`, the executor's one claim path. An epoch with a single
+/// active lane (every epoch at width 1) runs the scalar engine epoch; two
+/// or more lanes share the structure-of-arrays thermal solve.
 ///
 /// Like [`Jobs`], deliberately *not* a field of [`SimulationConfig`]: the
 /// batch width is a pure execution knob that must never influence results
-/// (batched output is byte-identical to per-chip execution for any width)
-/// or checkpoint compatibility, so a run may be started with one width and
-/// resumed with another.
+/// (output is byte-identical for any width) or checkpoint compatibility,
+/// so a run may be started with one width and resumed with another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Batch(std::num::NonZeroUsize);
 
 impl Batch {
-    /// One chip per claim: the classic per-chip execution path.
+    /// One chip per claim: every epoch runs the scalar engine epoch.
     #[must_use]
     pub const fn serial() -> Self {
         Batch(std::num::NonZeroUsize::MIN)

@@ -529,9 +529,9 @@ impl Campaign {
         };
         let null: Arc<dyn Recorder> = Arc::new(NullRecorder);
 
-        // Each claim pulls `batch` consecutive canonical-order descriptors;
-        // width 1 is the classic per-chip path. Both schedules hand out the
-        // same claims, only in a different worker-to-claim assignment.
+        // Each claim pulls `batch` consecutive canonical-order descriptors
+        // (the last claim may be narrower). Both schedules hand out the same
+        // claims, only in a different worker-to-claim assignment.
         let batch = self.batch().get();
         let claims = descriptors.len().div_ceil(batch);
         let queue = WorkQueue::new(options.schedule, claims, workers);
@@ -584,28 +584,15 @@ impl Campaign {
                         let end = (start + batch).min(descriptors.len());
                         let claim = &descriptors[start..end];
                         let began = Instant::now();
-                        let outcome = if claim.len() == 1 {
-                            self.run_descriptor(
-                                &claim[0],
-                                in_flight,
-                                options,
-                                &worker_recorder,
-                                worker,
-                                stop,
-                                &tx,
-                            )
-                            .map_err(|error| (claim[0].index, error))
-                        } else {
-                            self.run_batch(
-                                claim,
-                                in_flight,
-                                options,
-                                &worker_recorder,
-                                worker,
-                                stop,
-                                &tx,
-                            )
-                        };
+                        let outcome = self.run_claim(
+                            claim,
+                            in_flight,
+                            options,
+                            &worker_recorder,
+                            worker,
+                            stop,
+                            &tx,
+                        );
                         busy += began.elapsed();
                         if let Err((index, error)) = outcome {
                             failure.record(index, error, stop);
@@ -668,124 +655,16 @@ impl Campaign {
         }
     }
 
-    /// Runs one descriptor to completion (or until `stop` is raised),
-    /// translating panics and gate refusals into [`ExecutorError`]s.
-    #[allow(clippy::too_many_arguments)]
-    fn run_descriptor(
-        &self,
-        descriptor: &RunDescriptor,
-        in_flight: &Mutex<Option<InFlightState>>,
-        options: &ExecutorOptions<'_>,
-        recorder: &Arc<dyn Recorder>,
-        worker: usize,
-        stop: &AtomicBool,
-        tx: &Sender<RunUpdate>,
-    ) -> Result<(), ExecutorError> {
-        let gate = |site: GateSite| match options.gate {
-            Some(gate) => gate(site, descriptor).map_err(|source| ExecutorError::RunAborted {
-                kind: descriptor.kind,
-                chip: descriptor.chip,
-                source,
-            }),
-            None => Ok(()),
-        };
-        let body = catch_unwind(AssertUnwindSafe(|| -> Result<(), ExecutorError> {
-            gate(GateSite::Run)?;
-            // Causal context: every signal this run emits is joinable back
-            // to its grid cell. The engine refines it with the epoch field.
-            let run_ctx = SpanContext {
-                run: Some(descriptor.index as u64),
-                chip: Some(descriptor.chip as u64),
-                epoch: None,
-                worker: Some(worker as u64),
-            };
-            recorder.set_context(run_ctx);
-            let chip_span = recorder.span("campaign.chip");
-            let system = self.system_for(descriptor.chip);
-            let policy = descriptor
-                .kind
-                .instantiate(self.config().workload_seed ^ descriptor.chip as u64);
-            let mut engine = SimulationEngine::new(system, policy, self.config())
-                .with_recorder(Arc::clone(recorder))
-                .with_span_context(run_ctx);
-
-            let resume = {
-                let mut slot = in_flight.lock().expect("in-flight lock");
-                if slot.as_ref().is_some_and(|s| s.index == descriptor.index) {
-                    slot.take()
-                } else {
-                    None
-                }
-            };
-            let (mut metrics, start_epoch) = match resume {
-                Some(state) => {
-                    engine.restore(&state.snapshot).map_err(|source| {
-                        ExecutorError::RunAborted {
-                            kind: descriptor.kind,
-                            chip: descriptor.chip,
-                            source: Box::new(source),
-                        }
-                    })?;
-                    (state.partial, state.snapshot.next_epoch)
-                }
-                None => (engine.start_metrics(), 0),
-            };
-
-            let epoch_count = self.config().epoch_count();
-            for epoch in start_epoch..epoch_count {
-                if stop.load(Ordering::Relaxed) {
-                    chip_span.cancel(); // abandoned: someone else failed
-                    return Ok(());
-                }
-                gate(GateSite::Epoch)?;
-                metrics.epochs.push(engine.run_epoch(epoch));
-                let done = epoch + 1;
-                if let Some(every) = options.snapshot_every {
-                    if done < epoch_count && done % every.max(1) == 0 {
-                        let _ = tx.send(RunUpdate::Progress {
-                            index: descriptor.index,
-                            partial: metrics.clone(),
-                            snapshot: Box::new(engine.snapshot(done)),
-                        });
-                    }
-                }
-            }
-            engine.finalize_metrics(&mut metrics);
-            recorder.counter("campaign.runs_completed", 1);
-            let _ = tx.send(RunUpdate::Completed {
-                index: descriptor.index,
-                metrics: Box::new(metrics),
-            });
-            Ok(())
-        }));
-
-        // Back to worker-only context whatever happened, so signals between
-        // runs (and the worker span itself) never carry a stale run tag.
-        recorder.set_context(SpanContext {
-            worker: Some(worker as u64),
-            ..SpanContext::default()
-        });
-        match body {
-            Ok(run_result) => run_result,
-            Err(payload) => Err(ExecutorError::WorkerPanic {
-                kind: descriptor.kind,
-                chip: descriptor.chip,
-                // `as_ref` matters: coercing `&payload` would unsize the
-                // *Box* into `dyn Any` and every downcast would miss.
-                message: panic_message(payload.as_ref()),
-            }),
-        }
-    }
-
-    /// Runs one claim of ≥ 2 descriptors in lockstep through a [`ChipBatch`]
-    /// (or until `stop` is raised). Per lane, the engine performs exactly
-    /// the call sequence of [`run_descriptor`](Self::run_descriptor) —
-    /// decision, window steps, upscale, snapshot cadence, completion — so
-    /// merged campaign output is byte-identical to per-chip execution.
-    /// Errors carry the descriptor index they surfaced on, for the
-    /// deterministic failure slot.
+    /// Runs one claim of any width through a [`ChipBatch`] (or until `stop`
+    /// is raised), translating panics and gate refusals into
+    /// [`ExecutorError`]s. Every lane performs exactly the call sequence of
+    /// a serial run — per epoch the [`SimulationEngine::run_epoch`]
+    /// decision, window steps and upscale, then the snapshot cadence, and
+    /// finally completion — so merged campaign output is byte-identical at
+    /// every batch width. Errors carry the descriptor index they surfaced
+    /// on, for the deterministic failure slot.
     #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn run_batch(
+    fn run_claim(
         &self,
         claim: &[RunDescriptor],
         in_flight: &Mutex<Option<InFlightState>>,

@@ -318,86 +318,6 @@ pub fn axpy_in_place(y: &mut [f64], p: f64, x: &[f64]) {
     }
 }
 
-/// Batched [`axpy_max_sum`]: one fused scan per lane over a **shared**
-/// footprint row, with per-lane `base` and `p` coefficients and the lanes'
-/// rise accumulators interleaved structure-of-arrays
-/// (`rise[i * lanes + b]` is entry `i` of lane `b`).
-///
-/// Per lane the arithmetic is exactly `axpy_max_sum(base[b], rise_b, p[b],
-/// row, probe)` — the same expression, in the same slice order, with `max`
-/// via `f64::max` — so every lane of the output is bit-identical to the
-/// scalar scan it replaces. Only the interleaving across lanes (which
-/// commutes) differs, which is what lets B chips' candidate scans share one
-/// streaming pass over the row.
-///
-/// # Panics
-///
-/// Panics if the lane counts of `base`, `p`, and `out` disagree, if
-/// `rise.len() != row.len() * base.len()`, if there are no lanes, or if
-/// `probe` is out of range.
-pub fn axpy_max_sum_batch(
-    base: &[f64],
-    rise: &[f64],
-    p: &[f64],
-    row: &[f64],
-    probe: usize,
-    out: &mut [FusedScan],
-) {
-    let lanes = base.len();
-    assert!(lanes > 0, "need at least one lane");
-    assert_eq!(p.len(), lanes, "one coefficient per lane");
-    assert_eq!(out.len(), lanes, "one output scan per lane");
-    assert_eq!(
-        rise.len(),
-        row.len() * lanes,
-        "rise must hold row.len() entries per lane"
-    );
-    assert!(probe < row.len(), "probe index out of range");
-    for scan in out.iter_mut() {
-        *scan = FusedScan {
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            probe: 0.0,
-        };
-    }
-    for (i, (rs, a)) in rise.chunks_exact(lanes).zip(row).enumerate() {
-        for (((scan, r), b0), p_b) in out.iter_mut().zip(rs).zip(base).zip(p) {
-            let t = b0 + r + p_b * a;
-            scan.max = scan.max.max(t);
-            scan.sum += t;
-            if i == probe {
-                scan.probe = t;
-            }
-        }
-    }
-}
-
-/// Batched [`axpy_in_place`]: `y[i * lanes + b] += p[b] * x[i]` — B lanes'
-/// rank-1 superposition updates sharing one footprint row `x`, with the
-/// lane accumulators interleaved structure-of-arrays.
-///
-/// Per lane the op sequence is exactly `axpy_in_place(y_b, p[b], x)` (plain
-/// multiply-then-add, slice order), so every lane stays bit-identical to
-/// the scalar update.
-///
-/// # Panics
-///
-/// Panics if `p` is empty or `y.len() != x.len() * p.len()`.
-pub fn axpy_in_place_batch(y: &mut [f64], p: &[f64], x: &[f64]) {
-    let lanes = p.len();
-    assert!(lanes > 0, "need at least one lane");
-    assert_eq!(
-        y.len(),
-        x.len() * lanes,
-        "y must hold x.len() entries per lane"
-    );
-    for (ys, x_i) in y.chunks_exact_mut(lanes).zip(x) {
-        for (y_b, p_b) in ys.iter_mut().zip(p) {
-            *y_b += p_b * x_i;
-        }
-    }
-}
-
 /// Multiplies a lower-triangular factor with a vector (`y = L·z`), the core
 /// operation of correlated-Gaussian sampling.
 ///
@@ -1411,70 +1331,5 @@ mod tests {
         let f = BandedCholeskyFactor::factorize(&banded).unwrap();
         let mut x = vec![0.0; 7];
         f.solve_many_in_place(&mut x, 2);
-    }
-
-    #[test]
-    fn axpy_max_sum_batch_matches_each_lane_bitwise() {
-        let row = [0.5, 0.0, 4.0, 1.0, -2.5];
-        let probe = 2;
-        for lanes in [1usize, 3, 8] {
-            let base: Vec<f64> = (0..lanes).map(|b| 318.15 + b as f64 * 0.125).collect();
-            let p: Vec<f64> = (0..lanes).map(|b| 2.5 - b as f64 * 0.375).collect();
-            let rise_lanes: Vec<Vec<f64>> = (0..lanes).map(|b| lane_rhs(row.len(), b)).collect();
-            let rise = interleave(&rise_lanes);
-            let mut out = vec![
-                FusedScan {
-                    max: 0.0,
-                    sum: 0.0,
-                    probe: 0.0
-                };
-                lanes
-            ];
-            axpy_max_sum_batch(&base, &rise, &p, &row, probe, &mut out);
-            for b in 0..lanes {
-                let want = axpy_max_sum(base[b], &rise_lanes[b], p[b], &row, probe);
-                assert_eq!(out[b].max, want.max, "lane {b} max");
-                assert_eq!(out[b].sum, want.sum, "lane {b} sum");
-                assert_eq!(out[b].probe, want.probe, "lane {b} probe");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "probe index")]
-    fn axpy_max_sum_batch_rejects_probe_out_of_range() {
-        let mut out = vec![
-            FusedScan {
-                max: 0.0,
-                sum: 0.0,
-                probe: 0.0
-            };
-            1
-        ];
-        axpy_max_sum_batch(&[0.0], &[1.0], &[1.0], &[1.0], 1, &mut out);
-    }
-
-    #[test]
-    fn axpy_in_place_batch_matches_each_lane_bitwise() {
-        let x = [2.0, 0.0, -4.0, 1.5];
-        for lanes in [1usize, 2, 5] {
-            let p: Vec<f64> = (0..lanes).map(|b| 0.5 - b as f64 * 0.75).collect();
-            let y_lanes: Vec<Vec<f64>> = (0..lanes).map(|b| lane_rhs(x.len(), b)).collect();
-            let mut y = interleave(&y_lanes);
-            axpy_in_place_batch(&mut y, &p, &x);
-            for b in 0..lanes {
-                let mut want = y_lanes[b].clone();
-                axpy_in_place(&mut want, p[b], &x);
-                for (i, w) in want.iter().enumerate() {
-                    assert_eq!(y[i * lanes + b], *w, "lane {b} entry {i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "entries per lane")]
-    fn axpy_in_place_batch_rejects_length_mismatch() {
-        axpy_in_place_batch(&mut [1.0, 2.0, 3.0], &[1.0, 2.0], &[1.0, 2.0]);
     }
 }

@@ -4,10 +4,10 @@
 //! repeated crash/resume cycles.
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{Campaign, Jobs, Schedule, SearchPath, SimulationConfig, SimulationEngine};
+use hayat::{Batch, Campaign, Jobs, Schedule, SearchPath, SimulationConfig, SimulationEngine};
 use hayat_checkpoint::{
-    CampaignCheckpointExt, CheckpointError, Checkpointer, FailMode, FailPoint, FAILPOINT_CHIP,
-    FAILPOINT_EPOCH,
+    CampaignCheckpoint, CampaignCheckpointExt, CheckpointError, Checkpointer, FailMode, FailPoint,
+    FAILPOINT_CHIP, FAILPOINT_EPOCH,
 };
 use hayat_telemetry::MemoryRecorder;
 use proptest::prelude::*;
@@ -183,38 +183,58 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
 
 #[test]
 fn checkpoint_resumes_byte_identical_across_schedule_changes() {
-    // The schedule is not part of the checkpoint: completed runs are keyed
-    // by canonical descriptor index, so a campaign checkpointed under the
-    // static cursor resumes under work stealing (and vice versa) to the
-    // same bytes as an uninterrupted run.
-    let campaign = Campaign::new(tiny_config(0.5)).unwrap();
+    // Neither the schedule nor the batch width is part of the checkpoint:
+    // completed runs are keyed by canonical descriptor index, so a campaign
+    // checkpointed under the static cursor resumes under work stealing (and
+    // vice versa), and a 3-wide checkpointed run resumes at width 3 or 1,
+    // to the same bytes as an uninterrupted run. Resuming 3-wide puts the
+    // restored lane in one claim with fresh lanes that start at epoch 0.
     let policies = [PolicyKind::Hayat, PolicyKind::Vaa];
-    let uninterrupted = campaign.run(&policies);
+    let campaign = |batch: usize| {
+        Campaign::new(tiny_config(0.5))
+            .unwrap()
+            .with_batch(Batch::new(batch).unwrap())
+    };
+    let uninterrupted = campaign(1).run(&policies);
 
-    for (from, to) in [
-        (Schedule::Static, Schedule::Steal),
-        (Schedule::Steal, Schedule::Static),
+    // (schedule, batch) of the interrupted run, then of the resumed one. The
+    // 3-wide run fails at epoch hit 8: claim [0, 1, 2] makes three hits per
+    // epoch and claim [3] at most four in all, so descriptor 0 has
+    // finished an epoch and its snapshot is in flight.
+    for (fail_at, (from, from_batch), (to, to_batch)) in [
+        (5, (Schedule::Static, 1), (Schedule::Steal, 1)),
+        (5, (Schedule::Steal, 1), (Schedule::Static, 1)),
+        (8, (Schedule::Static, 3), (Schedule::Static, 3)),
+        (8, (Schedule::Static, 3), (Schedule::Static, 1)),
     ] {
-        let path = scratch(&format!("sched_{from}_{to}"));
+        let path = scratch(&format!("sched_{from}_{from_batch}_{to}_{to_batch}"));
         let interrupted = Checkpointer::new(&path)
             .every(1)
             .jobs(Jobs::new(2).unwrap())
             .schedule(from)
-            .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 5, FailMode::Error))
-            .run(&campaign, &policies);
+            .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, fail_at, FailMode::Error))
+            .run(&campaign(from_batch), &policies);
         assert!(
             matches!(interrupted, Err(CheckpointError::Injected(_))),
             "the armed fail point must abort the {from}-scheduled campaign"
         );
+        if from_batch > 1 {
+            let checkpoint = CampaignCheckpoint::load(&path).unwrap();
+            assert!(
+                checkpoint.in_flight.is_some(),
+                "the batched run must die with a snapshot in flight"
+            );
+        }
 
         let resumed = Checkpointer::new(&path)
             .jobs(Jobs::new(2).unwrap())
             .schedule(to)
-            .resume(&campaign)
+            .resume(&campaign(to_batch))
             .unwrap();
         assert_eq!(
             resumed, uninterrupted,
-            "checkpointed under {from}, resumed under {to}"
+            "checkpointed under {from} at batch {from_batch}, \
+             resumed under {to} at batch {to_batch}"
         );
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
