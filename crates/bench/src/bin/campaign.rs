@@ -11,11 +11,14 @@
 //! Defaults reproduce the paper campaign at 50% dark. Unknown flags abort
 //! with usage.
 //!
-//! Long campaigns can run crash-safe: `--checkpoint FILE` persists progress
+//! Long campaigns can run crash-safe: `--checkpoint DIR` persists progress
 //! atomically (every `--every EPOCHS` epochs, default 8, plus every chip-run
-//! boundary), and `--resume FILE` continues an interrupted campaign — with
-//! the *same* config flags — skipping all completed work. A resumed campaign
-//! is bit-identical to an uninterrupted one.
+//! boundary) as sealed shards of `--shard-checkpoints N` runs (default 256)
+//! plus a small tail, and `--resume DIR` continues an interrupted campaign —
+//! with the *same* config flags — skipping all completed work. A resumed
+//! campaign is bit-identical to an uninterrupted one. `--resume` also
+//! accepts a single-file checkpoint written by an earlier build; that file
+//! is only read, and progress continues in `FILE.shards/`.
 //!
 //! Fleet scale: `--fleet N` simulates N chips without ever materializing
 //! them — chips stream from the seeded sampler, completed runs stream into
@@ -24,9 +27,8 @@
 //! sketches rather than per-run rows, so peak memory is O(1) in N. The
 //! exact per-run JSON stays available behind `--export-json FILE` (which
 //! opts back into O(N) memory) and `--replay POLICY:CHIP` (which
-//! regenerates any single run on demand). Fleet checkpoints shard
-//! (`--shard-checkpoints N`) so durable writes never serialize through one
-//! growing file.
+//! regenerates any single run on demand). Checkpoints shard, so durable
+//! writes never serialize through one growing file.
 
 use std::io::Write;
 use std::path::Path;
@@ -39,7 +41,7 @@ use hayat::{
     RunMetrics, Schedule, SearchPath, SimulationConfig,
 };
 use hayat_aging::TablePath;
-use hayat_checkpoint::{Checkpointer, FailPoint, ShardedCheckpointer};
+use hayat_checkpoint::{CheckpointError, FailPoint, ShardedCheckpointer};
 use hayat_runfmt::RunFileWriter;
 use hayat_telemetry::{JsonlRecorder, Recorder};
 
@@ -86,7 +88,7 @@ fn usage() -> ! {
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
          [--progress SECS] [--progress-jsonl FILE.jsonl] \
-         [--checkpoint FILE [--every EPOCHS] | --resume FILE] \
+         [--checkpoint DIR [--every EPOCHS] | --resume DIR] \
          [--fleet N] [--run-format FILE.runfmt] [--export-json FILE] \
          [--replay POLICY:CHIP] [--from-json FILE] [--shard-checkpoints N]\n\
          \n\
@@ -120,10 +122,15 @@ fn usage() -> ! {
          --floorplan RxC simulates an R-row × C-column core mesh (e.g. \
          32x32 or 16x64; overrides --mesh, which stays as the square \
          shorthand). \
-         --checkpoint runs the campaign with durable progress (written \
-         atomically every EPOCHS epochs and at chip boundaries); --resume \
-         continues from such a file, skipping completed work — a resumed \
-         run is bit-identical to an uninterrupted one, for any --jobs.\n\
+         --checkpoint runs the campaign with durable progress in a \
+         directory (written atomically every EPOCHS epochs and at chip \
+         boundaries); --resume continues from such a directory, skipping \
+         completed work — a resumed run is bit-identical to an \
+         uninterrupted one, for any --jobs. --resume also reads a \
+         single-file checkpoint from an earlier build without changing it; \
+         progress then continues in FILE.shards/. --shard-checkpoints N \
+         sets the runs per sealed shard (default 256), so each durable \
+         write stays O(N) however long the campaign.\n\
          \n\
          --fleet N streams N chips through the campaign in O(1) memory: \
          per-run output goes to the compact columnar run file \
@@ -132,10 +139,7 @@ fn usage() -> ! {
          are rejected — --export-json FILE opts back into collecting it. \
          --replay POLICY:CHIP regenerates exactly one run (same config \
          flags) and prints its JSON. --from-json FILE converts an existing \
-         results JSON to --run-format without re-simulating. In fleet mode \
-         --checkpoint/--resume take a DIRECTORY and require \
-         --shard-checkpoints N (runs per sealed shard; outside fleet mode \
-         it is optional and shards the same way)."
+         results JSON to --run-format without re-simulating."
     );
     std::process::exit(2);
 }
@@ -178,9 +182,9 @@ fn parse_replay(spec: &str) -> (PolicyKind, usize) {
     (parse_policy(policy), chip)
 }
 
-/// Reads one `HAYAT_*` env-var default, exiting with the parse message on
-/// garbage (same treatment as a bad flag value).
-fn env_default<T>(read: impl FnOnce() -> Result<T, String>) -> T {
+/// Reads one `HAYAT_*` env-var default or one strictly checked flag value,
+/// exiting 2 with the one-line parse message on garbage.
+fn or_exit<T>(read: impl FnOnce() -> Result<T, String>) -> T {
     read().unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2)
@@ -207,10 +211,10 @@ fn parse_args() -> Args {
         checkpoint_path: None,
         every: None,
         resume_path: None,
-        jobs: env_default(Jobs::from_env),
+        jobs: or_exit(Jobs::from_env),
         batch: Batch::serial(),
-        schedule: env_default(Schedule::from_env),
-        pin: env_default(Pinning::from_env),
+        schedule: or_exit(Schedule::from_env),
+        pin: or_exit(Pinning::from_env),
         table_path: TablePath::default(),
         search_path: SearchPath::default(),
         fleet: None,
@@ -249,7 +253,9 @@ fn parse_args() -> Args {
             }
             "--progress-jsonl" => args.progress_jsonl = Some(value("--progress-jsonl")),
             "--checkpoint" => args.checkpoint_path = Some(value("--checkpoint")),
-            "--every" => args.every = Some(value("--every").parse().unwrap_or_else(|_| usage())),
+            "--every" => {
+                args.every = Some(or_exit(|| hayat_bench::parse_every(&value("--every"))));
+            }
             "--resume" => args.resume_path = Some(value("--resume")),
             "--jobs" => {
                 args.jobs = value("--jobs").parse().unwrap_or_else(|msg| {
@@ -322,6 +328,12 @@ fn parse_args() -> Args {
         eprintln!("--shard-checkpoints must be at least 1 run per shard");
         usage()
     }
+    if let Some(path) = &args.resume_path {
+        if !Path::new(path).exists() {
+            eprintln!("--resume: no checkpoint at {path}");
+            std::process::exit(2)
+        }
+    }
     if args.from_json_path.is_some() {
         if args.run_format_path.is_none() {
             eprintln!("--from-json needs --run-format FILE to know where to write");
@@ -336,20 +348,12 @@ fn parse_args() -> Args {
             usage()
         }
     }
-    if args.fleet.is_some() {
-        if args.csv_dir.is_some() || args.json_path.is_some() {
-            eprintln!(
-                "--fleet streams runs without collecting them; --csv/--json need the full \
-                 run vector (use --export-json FILE to opt back into collecting it)"
-            );
-            usage()
-        }
-        if (args.checkpoint_path.is_some() || args.resume_path.is_some())
-            && args.shard_runs.is_none()
-        {
-            eprintln!("fleet checkpoints must shard to stay O(1); add --shard-checkpoints N");
-            usage()
-        }
+    if args.fleet.is_some() && (args.csv_dir.is_some() || args.json_path.is_some()) {
+        eprintln!(
+            "--fleet streams runs without collecting them; --csv/--json need the full \
+             run vector (use --export-json FILE to opt back into collecting it)"
+        );
+        usage()
     }
     args
 }
@@ -374,6 +378,52 @@ fn progress_options(args: &Args) -> Option<ProgressOptions> {
         }
     });
     Some(ProgressOptions { every, sink })
+}
+
+/// The `--checkpoint` or `--resume` path, if either was given.
+fn checkpoint_path(args: &Args) -> Option<&str> {
+    args.checkpoint_path
+        .as_deref()
+        .or(args.resume_path.as_deref())
+}
+
+/// The durable-progress driver for the checkpoint at `path`, configured
+/// from the execution and checkpoint flags and `HAYAT_FAILPOINT`.
+fn checkpointer(
+    args: &Args,
+    path: &str,
+    recorder: Option<&Arc<JsonlRecorder>>,
+    fleet: Option<&Arc<Mutex<FleetAccumulator>>>,
+    progress: Option<ProgressOptions>,
+) -> ShardedCheckpointer {
+    let mut runner = ShardedCheckpointer::new(path)
+        .jobs(args.jobs)
+        .schedule(args.schedule)
+        .pinning(args.pin)
+        .with_failpoint(or_exit(FailPoint::from_env));
+    if let Some(runs) = args.shard_runs {
+        runner = runner.shard_runs(runs);
+    }
+    if let Some(every) = args.every {
+        runner = runner.every(every);
+    }
+    if let Some(rec) = recorder {
+        runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
+    }
+    if let Some(fleet) = fleet {
+        runner = runner.with_fleet(Arc::clone(fleet));
+    }
+    if let Some(progress) = progress {
+        runner = runner.with_progress(progress);
+    }
+    runner
+}
+
+/// Reports a checkpointed campaign that stopped early and exits 1.
+fn checkpoint_aborted(err: &CheckpointError, path: &str) -> ! {
+    eprintln!("campaign aborted: {err}");
+    eprintln!("progress is saved; rerun with --resume {path}");
+    std::process::exit(1)
 }
 
 /// `--from-json`: re-encode an existing results JSON as a compact run file,
@@ -450,42 +500,15 @@ fn run_fleet(
         Ok(())
     };
 
-    let delivered = if let Some(path) = args
-        .checkpoint_path
-        .as_deref()
-        .or(args.resume_path.as_deref())
-    {
-        let failpoint = FailPoint::from_env().unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        });
-        let mut runner = ShardedCheckpointer::new(path)
-            .jobs(args.jobs)
-            .schedule(args.schedule)
-            .pinning(args.pin)
-            .with_failpoint(failpoint)
-            .shard_runs(args.shard_runs.expect("validated by parse_args"))
-            .with_fleet(Arc::clone(&fleet));
-        if let Some(every) = args.every {
-            runner = runner.every(every);
-        }
-        if let Some(rec) = recorder {
-            runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-        }
-        if let Some(progress) = progress {
-            runner = runner.with_progress(progress);
-        }
+    let delivered = if let Some(path) = checkpoint_path(args) {
+        let runner = checkpointer(args, path, recorder, Some(&fleet), progress);
         let outcome = if args.resume_path.is_some() {
-            println!("resuming from sharded checkpoint {path}/");
+            println!("resuming from checkpoint {path}");
             runner.resume_streamed(campaign, |_, metrics| sink(metrics))
         } else {
             runner.run_streamed(campaign, &args.policies, |_, metrics| sink(metrics))
         };
-        outcome.unwrap_or_else(|err| {
-            eprintln!("campaign aborted: {err}");
-            eprintln!("progress is saved; rerun with --resume {path}");
-            std::process::exit(1)
-        }) as usize
+        outcome.unwrap_or_else(|err| checkpoint_aborted(&err, path)) as usize
     } else {
         let rec: Arc<dyn Recorder> = match recorder {
             Some(rec) => Arc::clone(rec) as Arc<dyn Recorder>,
@@ -643,70 +666,15 @@ fn main() {
         .fleet_stats_path
         .as_ref()
         .map(|_| Arc::new(Mutex::new(FleetAccumulator::new())));
-    let result = if let Some(path) = args
-        .checkpoint_path
-        .as_deref()
-        .or(args.resume_path.as_deref())
-    {
-        let failpoint = FailPoint::from_env().unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        });
-        let outcome = if let Some(shard_runs) = args.shard_runs {
-            let mut runner = ShardedCheckpointer::new(path)
-                .jobs(args.jobs)
-                .schedule(args.schedule)
-                .pinning(args.pin)
-                .with_failpoint(failpoint)
-                .shard_runs(shard_runs);
-            if let Some(every) = args.every {
-                runner = runner.every(every);
-            }
-            if let Some(rec) = &recorder {
-                runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-            }
-            if let Some(fleet) = &fleet {
-                runner = runner.with_fleet(Arc::clone(fleet));
-            }
-            if let Some(progress) = progress.clone() {
-                runner = runner.with_progress(progress);
-            }
-            if args.resume_path.is_some() {
-                println!("resuming from sharded checkpoint {path}/");
-                runner.resume(&campaign)
-            } else {
-                runner.run(&campaign, &args.policies)
-            }
+    let result = if let Some(path) = checkpoint_path(&args) {
+        let runner = checkpointer(&args, path, recorder.as_ref(), fleet.as_ref(), progress);
+        let outcome = if args.resume_path.is_some() {
+            println!("resuming from checkpoint {path}");
+            runner.resume(&campaign)
         } else {
-            let mut runner = Checkpointer::new(path)
-                .jobs(args.jobs)
-                .schedule(args.schedule)
-                .pinning(args.pin)
-                .with_failpoint(failpoint);
-            if let Some(every) = args.every {
-                runner = runner.every(every);
-            }
-            if let Some(rec) = &recorder {
-                runner = runner.with_recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-            }
-            if let Some(fleet) = &fleet {
-                runner = runner.with_fleet(Arc::clone(fleet));
-            }
-            if let Some(progress) = progress.clone() {
-                runner = runner.with_progress(progress);
-            }
-            if args.resume_path.is_some() {
-                println!("resuming from checkpoint {path}");
-                runner.resume(&campaign)
-            } else {
-                runner.run(&campaign, &args.policies)
-            }
+            runner.run(&campaign, &args.policies)
         };
-        outcome.unwrap_or_else(|err| {
-            eprintln!("campaign aborted: {err}");
-            eprintln!("progress is saved; rerun with --resume {path}");
-            std::process::exit(1)
-        })
+        outcome.unwrap_or_else(|err| checkpoint_aborted(&err, path))
     } else {
         let recorder: Arc<dyn Recorder> = match &recorder {
             Some(rec) => Arc::clone(rec) as Arc<dyn Recorder>,
@@ -718,7 +686,7 @@ fn main() {
                 args.jobs,
                 recorder,
                 fleet.as_deref(),
-                progress.clone(),
+                progress,
             )
             .unwrap_or_else(|err| {
                 eprintln!("campaign failed: {err}");

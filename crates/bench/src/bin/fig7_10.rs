@@ -30,11 +30,12 @@
 //! mesh (e.g. `32x32`) to exercise the large-floorplan decision path.
 //!
 //! The default run is long enough to be worth protecting: `--checkpoint
-//! STEM` persists each dark-fraction campaign to `STEM.dark25` /
-//! `STEM.dark50` (atomic writes, every `--every EPOCHS` epochs), and
-//! `--resume STEM` picks the experiment back up — completed campaigns load
-//! instantly, an interrupted one re-enters mid-chip, and a missing file
-//! starts that campaign fresh (still checkpointed).
+//! STEM` persists each dark-fraction campaign to the checkpoint directory
+//! `STEM.dark25` / `STEM.dark50` (atomic writes, every `--every EPOCHS`
+//! epochs), and `--resume STEM` picks the experiment back up — completed
+//! campaigns load instantly, an interrupted one re-enters mid-chip, and a
+//! missing checkpoint starts that campaign fresh (still checkpointed).
+//! Single-file checkpoints from earlier builds resume read-only.
 //!
 //! `--fleet-stats STEM` streams every run into mergeable online sketches
 //! and writes one summary per dark fraction (`STEM.dark25.json`,
@@ -48,8 +49,8 @@ use hayat::{
     Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, Schedule, SearchPath,
     SimulationConfig,
 };
-use hayat_bench::{bar_row, section};
-use hayat_checkpoint::{Checkpointer, FailPoint};
+use hayat_bench::{bar_row, parse_every, section};
+use hayat_checkpoint::{FailPoint, ShardedCheckpointer};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 
 fn main() {
@@ -80,8 +81,12 @@ fn main() {
         .position(|a| a == "--fleet-stats")
         .and_then(|i| args.get(i + 1))
         .cloned();
+    let exit_on_err = |err: String| -> ! {
+        eprintln!("{err}");
+        std::process::exit(2)
+    };
     // Crash safety: `--checkpoint STEM` / `--resume STEM` persist each
-    // dark-fraction campaign to its own derived file (STEM.dark25, ...).
+    // dark-fraction campaign to its own derived directory (STEM.dark25, ...).
     let checkpoint_stem = args
         .iter()
         .position(|a| a == "--checkpoint")
@@ -92,21 +97,16 @@ fn main() {
         .position(|a| a == "--resume")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    assert!(
-        checkpoint_stem.is_none() || resume_stem.is_none(),
-        "--checkpoint and --resume are mutually exclusive"
-    );
+    if checkpoint_stem.is_some() && resume_stem.is_some() {
+        exit_on_err("--checkpoint and --resume are mutually exclusive".to_owned());
+    }
     let every = args
         .iter()
         .position(|a| a == "--every")
         .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--every takes a positive epoch count"));
+        .map(|v| parse_every(v).unwrap_or_else(|e| exit_on_err(e)));
     // Worker threads for the campaign grid; results are byte-identical
     // regardless of the count, so this only changes wall-clock time.
-    let exit_on_err = |err: String| -> ! {
-        eprintln!("{err}");
-        std::process::exit(2)
-    };
     let jobs = args
         .iter()
         .position(|a| a == "--jobs")
@@ -194,7 +194,7 @@ fn main() {
         let stem = checkpoint_stem.as_deref().or(resume_stem.as_deref());
         let result = if let Some(stem) = stem {
             let path = format!("{stem}.dark{}", (dark * 100.0) as u32);
-            let mut runner = Checkpointer::new(&path)
+            let mut runner = ShardedCheckpointer::new(&path)
                 .jobs(jobs)
                 .schedule(schedule)
                 .pinning(pin)

@@ -1,14 +1,15 @@
 //! Kill-mode crash test for the `campaign` binary: a run hard-killed by a
 //! `HAYAT_FAILPOINT=...:kill` fault (process exits with no unwinding, like
 //! an OOM kill) must resume from its checkpoint to a result byte-identical
-//! to an uninterrupted run's JSON export.
+//! to an uninterrupted run's JSON export. Bad checkpoint flags must fail
+//! fast, before any setup, with one line of text.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 fn scratch(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("hayat_cli_{name}_{}", std::process::id()));
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
     path
 }
 
@@ -90,9 +91,10 @@ fn hard_killed_campaign_resumes_to_an_identical_result() {
         "resumed campaign JSON must be byte-identical to the uninterrupted run"
     );
 
-    for path in [&reference_json, &resumed_json, &checkpoint] {
+    for path in [&reference_json, &resumed_json] {
         std::fs::remove_file(path).ok();
     }
+    std::fs::remove_dir_all(&checkpoint).ok();
 }
 
 #[test]
@@ -108,5 +110,47 @@ fn malformed_failpoint_spec_aborts_instead_of_running_vacuously() {
         String::from_utf8_lossy(&out.stderr).contains("site:hit:mode"),
         "the error must explain the expected format"
     );
-    std::fs::remove_file(&checkpoint).ok();
+    std::fs::remove_dir_all(&checkpoint).ok();
+}
+
+/// Asserts that `out` is an exit-2 refusal whose stderr is exactly one line
+/// containing `needle`.
+fn assert_refused(out: &std::process::Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line of text, got: {stderr}");
+    assert!(stderr.contains(needle), "got: {stderr}");
+}
+
+#[test]
+fn zero_or_non_numeric_cadence_is_refused_in_one_line() {
+    let checkpoint = scratch("every0.ckpt");
+    let out = campaign_cmd()
+        .args(["--checkpoint", checkpoint.to_str().unwrap(), "--every", "0"])
+        .output()
+        .expect("run campaign binary");
+    assert_refused(&out, "--every");
+    assert!(!checkpoint.exists(), "nothing may run before the refusal");
+
+    for every in ["0", "soon"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig7_10"))
+            .args(["--quick", "--checkpoint", checkpoint.to_str().unwrap()])
+            .args(["--every", every])
+            .env_remove("HAYAT_FAILPOINT")
+            .output()
+            .expect("run fig7_10 binary");
+        assert_refused(&out, "--every");
+    }
+    assert!(!checkpoint.exists());
+}
+
+#[test]
+fn resume_from_a_missing_checkpoint_is_refused_in_one_line() {
+    let missing = scratch("missing.ckpt");
+    let out = campaign_cmd()
+        .args(["--resume", missing.to_str().unwrap()])
+        .output()
+        .expect("run campaign binary");
+    assert_refused(&out, "no checkpoint");
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
 }

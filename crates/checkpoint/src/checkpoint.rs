@@ -1,30 +1,33 @@
-//! The durable campaign state: format, validation, and atomic persistence.
+//! The v1 single-file checkpoint (read only, migrated on resume by
+//! [`ShardedCheckpointer`](crate::ShardedCheckpointer)), the in-flight run
+//! record shared with the sharded format, and the checkpoint error type.
 
 use crate::failpoint::InjectedFailure;
 use hayat::{EngineSnapshot, PolicyKind, RestoreError, RunMetrics, SimulationConfig};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// The checkpoint format version this build reads and writes. Loading
-/// rejects any other version — in particular checkpoints from *newer*
-/// builds, whose fields this build would silently drop.
-pub const FORMAT_VERSION: u32 = 1;
+/// The v1 single-file format version this build reads. Loading rejects
+/// any other version — in particular files whose fields this build would
+/// silently drop.
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
-/// A complete, resumable description of campaign progress.
+/// A v1 single-file checkpoint: the whole campaign's progress in one JSON
+/// file. Earlier builds wrote it; this build only reads it, and
+/// [`ShardedCheckpointer`](crate::ShardedCheckpointer) maps it onto a
+/// manifest plus tail when it resumes one.
 ///
 /// The immutable campaign inputs (chip population, thermal predictor,
 /// aging table) are *not* stored: they are deterministically rebuilt from
-/// the [`SimulationConfig`], and [`CampaignCheckpoint::config_hash`]
-/// guards against resuming under a different one. What is stored is
-/// exactly the irreplaceable progress: every completed run's
-/// [`RunMetrics`], and — when a run was interrupted mid-chip — the
-/// partially-aged engine state to re-enter it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignCheckpoint {
-    /// Format version ([`FORMAT_VERSION`] when written by this build).
+/// the [`SimulationConfig`], and `config_hash` guards against resuming
+/// under a different one. What is stored is exactly the irreplaceable
+/// progress: every completed run's [`RunMetrics`], and — when a run was
+/// interrupted mid-chip — the partially-aged engine state to re-enter it.
+#[derive(Debug, PartialEq, Deserialize)]
+pub(crate) struct CampaignCheckpoint {
+    /// Format version ([`FORMAT_VERSION`]).
     pub version: u32,
     /// FNV-1a hash of the canonical JSON of the campaign's
     /// [`SimulationConfig`]; resume refuses a mismatch.
@@ -68,8 +71,8 @@ pub enum CheckpointError {
     },
     /// The checkpoint file is not valid checkpoint JSON.
     Corrupt(String),
-    /// The file's format version differs from [`FORMAT_VERSION`] — e.g.
-    /// it was written by a newer build of this crate.
+    /// The file's format version differs from the one this build reads —
+    /// e.g. it was written by a newer build of this crate.
     VersionMismatch {
         /// Version found in the file.
         found: u32,
@@ -97,8 +100,8 @@ pub enum CheckpointError {
     /// crash-recovery tests drive.
     Injected(InjectedFailure),
     /// A worker thread panicked mid-campaign. The pool shut down cleanly
-    /// and the checkpoint file still holds the last durable state, so the
-    /// campaign is resumable.
+    /// and the checkpoint directory still holds the last durable state, so
+    /// the campaign is resumable.
     WorkerPanic {
         /// Policy of the panicking run.
         policy: PolicyKind,
@@ -191,50 +194,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl CampaignCheckpoint {
-    /// An empty checkpoint for a campaign that is about to start.
-    #[must_use]
-    pub fn fresh(config: &SimulationConfig, policies: &[PolicyKind], every_epochs: usize) -> Self {
-        CampaignCheckpoint {
-            version: FORMAT_VERSION,
-            config_hash: config_hash(config),
-            every_epochs,
-            policies: policies.to_vec(),
-            completed: Vec::new(),
-            in_flight: None,
-        }
-    }
-
-    /// Writes the checkpoint *atomically*: serialize to `<path>.tmp` in
-    /// the same directory, fsync, then `rename` over `path`. A crash at
-    /// any instant leaves either the previous checkpoint or the new one —
-    /// never a torn file.
-    ///
-    /// Returns the number of bytes written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] when the filesystem refuses.
-    pub fn save(&self, path: &Path) -> Result<u64, CheckpointError> {
-        let io_err = |source| CheckpointError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let json = serde_json::to_string(self).expect("checkpoint structs always serialize");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-            file.write_all(json.as_bytes()).map_err(io_err)?;
-            // The rename only makes the *name* durable; the data must hit
-            // the disk first or a power cut could publish an empty file.
-            file.sync_all().map_err(io_err)?;
-        }
-        std::fs::rename(&tmp, path).map_err(io_err)?;
-        Ok(json.len() as u64)
-    }
-
-    /// Loads and structurally validates a checkpoint.
+    /// Loads and structurally validates a v1 checkpoint file.
     ///
     /// # Errors
     ///
@@ -243,7 +203,7 @@ impl CampaignCheckpoint {
     /// [`CheckpointError::VersionMismatch`] when it was written in a
     /// different format version (forward versions are rejected, not
     /// best-effort parsed).
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
+    pub(crate) fn load(path: &Path) -> Result<Self, CheckpointError> {
         let text = std::fs::read_to_string(path).map_err(|source| CheckpointError::Io {
             path: path.to_path_buf(),
             source,
@@ -260,24 +220,24 @@ impl CampaignCheckpoint {
         }
         serde_json::from_str(&text).map_err(|e| CheckpointError::Corrupt(e.to_string()))
     }
+}
 
-    /// Checks this checkpoint against the config of the campaign about to
-    /// resume it.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::ConfigMismatch`] when the campaign was built
-    /// from a different configuration.
-    pub fn validate_config(&self, config: &SimulationConfig) -> Result<(), CheckpointError> {
-        let expected = config_hash(config);
-        if self.config_hash != expected {
-            return Err(CheckpointError::ConfigMismatch {
-                expected,
-                found: self.config_hash,
-            });
-        }
-        Ok(())
+/// Checks a checkpoint's stored config hash `found` against the config of
+/// the campaign about to resume it.
+///
+/// # Errors
+///
+/// [`CheckpointError::ConfigMismatch`] when the campaign was built from a
+/// different configuration.
+pub(crate) fn validate_config(
+    found: u64,
+    config: &SimulationConfig,
+) -> Result<(), CheckpointError> {
+    let expected = config_hash(config);
+    if found != expected {
+        return Err(CheckpointError::ConfigMismatch { expected, found });
     }
+    Ok(())
 }
 
 #[derive(Deserialize)]
@@ -289,11 +249,8 @@ struct VersionProbe {
 mod tests {
     use super::*;
 
-    fn sample() -> CampaignCheckpoint {
-        let config = SimulationConfig::quick_demo();
-        let mut ckpt = CampaignCheckpoint::fresh(&config, &[PolicyKind::Vaa, PolicyKind::Hayat], 4);
-        // One completed run keeps the fixture realistic without a full sim.
-        ckpt.completed.push(RunMetrics {
+    fn sample_run() -> RunMetrics {
+        RunMetrics {
             policy: "VAA".into(),
             chip_id: 0,
             dark_fraction: 0.5,
@@ -302,16 +259,35 @@ mod tests {
             initial_chip_fmax_ghz: 3.9,
             final_health_std: 0.01,
             epochs: Vec::new(),
-        });
-        ckpt
+        }
+    }
+
+    /// The text of a v1 checkpoint for `config` as earlier builds wrote it:
+    /// one completed run (realistic without a full sim), nothing in flight.
+    fn v1_json(version: u32, config: &SimulationConfig) -> String {
+        let run = serde_json::to_string(&sample_run()).unwrap();
+        format!(
+            r#"{{"version":{version},"config_hash":{},"every_epochs":4,"policies":["Vaa","Hayat"],"completed":[{run}],"in_flight":null}}"#,
+            config_hash(config)
+        )
     }
 
     #[test]
     fn round_trips_through_json() {
-        let ckpt = sample();
-        let json = serde_json::to_string(&ckpt).unwrap();
-        let back: CampaignCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(ckpt, back);
+        let config = SimulationConfig::quick_demo();
+        let ckpt: CampaignCheckpoint =
+            serde_json::from_str(&v1_json(FORMAT_VERSION, &config)).unwrap();
+        assert_eq!(
+            ckpt,
+            CampaignCheckpoint {
+                version: FORMAT_VERSION,
+                config_hash: config_hash(&config),
+                every_epochs: 4,
+                policies: vec![PolicyKind::Vaa, PolicyKind::Hayat],
+                completed: vec![sample_run()],
+                in_flight: None,
+            }
+        );
     }
 
     #[test]
@@ -319,12 +295,11 @@ mod tests {
         let dir = std::env::temp_dir().join("hayat_ckpt_roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("campaign.ckpt");
-        let ckpt = sample();
-        let bytes = ckpt.save(&path).unwrap();
-        assert!(bytes > 0);
-        assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
-        // No stray tmp file survives a successful save.
-        assert!(!dir.join("campaign.ckpt.tmp").exists());
+        let json = v1_json(FORMAT_VERSION, &SimulationConfig::quick_demo());
+        std::fs::write(&path, &json).unwrap();
+        let loaded = CampaignCheckpoint::load(&path).unwrap();
+        assert_eq!(loaded, serde_json::from_str(&json).unwrap());
+        assert_eq!(loaded.completed, [sample_run()]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -333,9 +308,8 @@ mod tests {
         let dir = std::env::temp_dir().join("hayat_ckpt_version");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("future.ckpt");
-        let mut ckpt = sample();
-        ckpt.version = FORMAT_VERSION + 1;
-        ckpt.save(&path).unwrap();
+        let json = v1_json(FORMAT_VERSION + 1, &SimulationConfig::quick_demo());
+        std::fs::write(&path, json).unwrap();
         match CampaignCheckpoint::load(&path) {
             Err(CheckpointError::VersionMismatch { found, supported }) => {
                 assert_eq!(found, FORMAT_VERSION + 1);
@@ -370,10 +344,10 @@ mod tests {
         assert_eq!(config_hash(&a), config_hash(&b));
         b.workload_seed ^= 1;
         assert_ne!(config_hash(&a), config_hash(&b));
-        let ckpt = CampaignCheckpoint::fresh(&a, &[PolicyKind::Hayat], 8);
-        assert!(ckpt.validate_config(&a).is_ok());
+        let ckpt: CampaignCheckpoint = serde_json::from_str(&v1_json(FORMAT_VERSION, &a)).unwrap();
+        assert!(validate_config(ckpt.config_hash, &a).is_ok());
         assert!(matches!(
-            ckpt.validate_config(&b),
+            validate_config(ckpt.config_hash, &b),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
     }

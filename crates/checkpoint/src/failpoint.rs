@@ -21,7 +21,7 @@ pub enum FailMode {
     Error,
     /// `panic!` at the check site — exercises unwind behaviour. The
     /// campaign executor catches worker panics, so through the
-    /// [`Checkpointer`](crate::Checkpointer) this surfaces as
+    /// [`ShardedCheckpointer`](crate::ShardedCheckpointer) this surfaces as
     /// [`CheckpointError::WorkerPanic`](crate::CheckpointError::WorkerPanic).
     Panic,
     /// Kill the whole process immediately with exit code 137 (the

@@ -5,17 +5,18 @@
 //! that is hours of work an OOM kill can erase. This crate makes the
 //! campaign durable without touching the simulation math:
 //!
-//! * [`CampaignCheckpoint`] — a versioned serde snapshot of campaign
-//!   progress: the config fingerprint, every completed run's metrics,
-//!   and (mid-chip) the engine's full mutable state — core healths and
-//!   ages, thermal node temperatures, duty-cycle accumulators, DTM
-//!   throttle state, and the exact RNG streams. Written atomically
-//!   (tmp file + rename) so a crash never leaves a torn file.
-//! * [`Checkpointer`] — drives a [`hayat::Campaign`] with a durable
-//!   write every N epochs and at every chip-run boundary, and resumes
-//!   one from disk, skipping completed runs and re-entering a partially
-//!   aged chip mid-decade. [`CampaignCheckpointExt`] hangs
-//!   `run_checkpointed` / `resume` directly off `Campaign`.
+//! * [`ShardedCheckpointer`] — drives a [`hayat::Campaign`] with durable
+//!   progress in a checkpoint directory: sealed fixed-size shards of
+//!   completed runs, a small tail rewritten every N epochs and at every
+//!   chip-run boundary, and a manifest that commits them. The tail holds
+//!   (mid-chip) the engine's full mutable state — core healths and ages,
+//!   thermal node temperatures, duty-cycle accumulators, DTM throttle
+//!   state, and the exact RNG streams. Every file is written atomically
+//!   (tmp file + fsync + rename) so a crash never leaves a torn file.
+//!   Resume skips completed runs and re-enters a partially aged chip
+//!   mid-decade. A v1 single-file checkpoint from an earlier build is
+//!   resumed read-only: its progress continues in a sibling
+//!   `<file>.shards/` directory.
 //! * [`FailPoint`] — a fault-injection hook (armed in code or via the
 //!   `HAYAT_FAILPOINT` env var) that errors, panics, or hard-kills the
 //!   process at a chosen epoch or chip boundary; the integration tests
@@ -35,13 +36,9 @@ mod failpoint;
 mod runner;
 mod shard;
 
-pub use crate::checkpoint::{
-    config_hash, CampaignCheckpoint, CheckpointError, InFlightRun, FORMAT_VERSION,
-};
+pub use crate::checkpoint::{config_hash, CheckpointError, InFlightRun};
 pub use crate::failpoint::{FailMode, FailPoint, InjectedFailure};
-pub use crate::runner::{
-    CampaignCheckpointExt, Checkpointer, DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH,
-};
+pub use crate::runner::{DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH};
 pub use crate::shard::{
     ShardManifest, ShardTail, ShardedCheckpointer, DEFAULT_SHARD_RUNS, SHARD_FORMAT_VERSION,
 };

@@ -1,11 +1,11 @@
 //! Sharded checkpoints: durable campaign progress split across many small
 //! files so write cost stays O(shard), not O(campaign).
 //!
-//! The single-file [`CampaignCheckpoint`](crate::CampaignCheckpoint)
-//! rewrites *every* completed run on each save — O(completed runs) of JSON
-//! per checkpoint, which at fleet scale (10⁵ runs) turns the durable write
-//! into the campaign bottleneck long before the simulations do. The sharded
-//! layout keeps the same resumability contract with bounded writes:
+//! A single file holding the whole campaign would rewrite *every* completed
+//! run on each save — O(completed runs) of JSON per checkpoint, which at
+//! fleet scale (10⁵ runs) turns the durable write into the campaign
+//! bottleneck long before the simulations do. A checkpoint is therefore a
+//! directory:
 //!
 //! * **Sealed shards** (`shard-00000.json`, `shard-00001.json`, …) — fixed
 //!   runs-per-shard segments of the canonical run order (policy-major, then
@@ -32,8 +32,17 @@
 //! after resume) or an un-accounted sealed segment whose runs simply
 //! re-run deterministically. No interleaving loses committed work beyond
 //! one shard, and no interleaving can double-count a run.
+//!
+//! **v1 files.** Earlier builds wrote the whole campaign to one JSON file
+//! (format v1). Resuming a path that is a regular file reads it as v1 and
+//! never writes it: its runs and in-flight snapshot become the tail of a
+//! fresh manifest in the sibling directory `<file>.shards/`, which holds
+//! all further progress. Once that manifest exists, later resumes of the
+//! same path continue from it.
 
-use crate::checkpoint::{config_hash, CheckpointError, InFlightRun};
+use crate::checkpoint::{
+    config_hash, validate_config, CampaignCheckpoint, CheckpointError, InFlightRun,
+};
 use crate::failpoint::FailPoint;
 use crate::runner::{DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH};
 use hayat::{
@@ -47,9 +56,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// The sharded-checkpoint format version. Like the single-file format,
-/// loading rejects every other version — in particular manifests from
-/// newer builds.
+/// The sharded-checkpoint format version. Loading rejects every other
+/// version — in particular manifests from newer builds.
 pub const SHARD_FORMAT_VERSION: u32 = 1;
 
 /// Default runs per sealed shard. Checkpoint write cost is O(this), so it
@@ -86,11 +94,22 @@ pub struct ShardTail {
 }
 
 /// Path layout and atomic file I/O of one checkpoint directory.
+#[derive(Clone)]
 struct ShardStore {
     dir: PathBuf,
 }
 
 impl ShardStore {
+    /// The directory that takes over from the v1 checkpoint file `file`:
+    /// `<file>.shards`.
+    fn v1_successor(file: &Path) -> Self {
+        let mut dir = file.as_os_str().to_owned();
+        dir.push(".shards");
+        ShardStore {
+            dir: PathBuf::from(dir),
+        }
+    }
+
     fn manifest_path(&self) -> PathBuf {
         self.dir.join("manifest.json")
     }
@@ -130,16 +149,86 @@ impl ShardStore {
         serde_json::from_str(&text)
             .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", path.display())))
     }
+
+    /// Loads the directory's durable state for `campaign`: the manifest,
+    /// rewound to zero sealed shards, and a tail holding the whole
+    /// canonical prefix (sealed shards in order, then the tail's runs)
+    /// plus the in-flight snapshot.
+    fn load(&self, campaign: &Campaign) -> Result<(ShardManifest, ShardTail), CheckpointError> {
+        let mut manifest: ShardManifest = self.load_json(&self.manifest_path())?;
+        if manifest.version != SHARD_FORMAT_VERSION {
+            return Err(CheckpointError::VersionMismatch {
+                found: manifest.version,
+                supported: SHARD_FORMAT_VERSION,
+            });
+        }
+        validate_config(manifest.config_hash, campaign.config())?;
+        if manifest.shard_runs == 0 {
+            return Err(CheckpointError::Corrupt(
+                "manifest declares zero-capacity shards".to_owned(),
+            ));
+        }
+        let mut prefix: Vec<RunMetrics> = Vec::new();
+        for shard in 0..manifest.sealed {
+            let runs: Vec<RunMetrics> = self.load_json(&self.shard_path(shard))?;
+            if runs.len() != manifest.shard_runs {
+                return Err(CheckpointError::Corrupt(format!(
+                    "sealed shard {shard} holds {} runs, manifest promises {}",
+                    runs.len(),
+                    manifest.shard_runs
+                )));
+            }
+            prefix.extend(runs);
+        }
+        let mut tail: ShardTail = self.load_json(&self.tail_path())?;
+        prefix.append(&mut tail.completed);
+        tail.completed = prefix;
+        manifest.sealed = 0;
+        Ok((manifest, tail))
+    }
 }
 
-/// Drives a [`Campaign`] with sharded durable progress — the fleet-scale
-/// counterpart of [`Checkpointer`](crate::Checkpointer). Same contract
-/// (resume is bit-identical to an uninterrupted run, for any worker count,
-/// through any number of kill/resume cycles), different cost model: each
-/// durable write touches O(shard capacity) bytes instead of O(completed
-/// campaign).
+/// Reads the v1 checkpoint file at `path` for `campaign` as a manifest with
+/// nothing sealed plus a tail holding all of its progress.
+fn load_v1(
+    path: &Path,
+    campaign: &Campaign,
+    shard_runs: usize,
+) -> Result<(ShardManifest, ShardTail), CheckpointError> {
+    let v1 = CampaignCheckpoint::load(path)?;
+    validate_config(v1.config_hash, campaign.config())?;
+    let manifest = ShardManifest {
+        version: SHARD_FORMAT_VERSION,
+        config_hash: v1.config_hash,
+        every_epochs: v1.every_epochs,
+        policies: v1.policies,
+        shard_runs,
+        sealed: 0,
+    };
+    let tail = ShardTail {
+        completed: v1.completed,
+        in_flight: v1.in_flight,
+    };
+    Ok((manifest, tail))
+}
+
+/// Drives a [`Campaign`] with durable progress: the tail is written
+/// atomically every N epochs and at every chip-run boundary, so a crash
+/// at *any* instant loses at most the epochs since the last write, and
+/// [`resume`](Self::resume) replays none of the completed work. Each
+/// durable write touches O(shard capacity) bytes, never O(campaign).
+///
+/// Jobs run on the parallel executor ([`Campaign::execute`]), but only the
+/// owner thread writes: it merges completed runs into canonical order and
+/// persists the contiguous completed prefix plus at most one in-flight
+/// snapshot. A run finishing *ahead* of an unfinished earlier run waits in
+/// memory, so a crash re-runs at most `jobs - 1` such runs — and the
+/// on-disk state, like the result, is the same for any worker count.
 ///
 /// # Example
+///
+/// A campaign interrupted by an injected fault and resumed from its
+/// checkpoint produces exactly the result of an uninterrupted run:
 ///
 /// ```
 /// use hayat::sim::campaign::PolicyKind;
@@ -180,8 +269,10 @@ pub struct ShardedCheckpointer {
 }
 
 impl ShardedCheckpointer {
-    /// A sharded checkpointer writing into directory `dir` (created on
-    /// first run) with default cadence and shard capacity.
+    /// A checkpointer writing into directory `dir` (created on first run)
+    /// with the default cadence and shard capacity, no telemetry, and
+    /// fault injection disarmed. To resume a v1 checkpoint file, pass the
+    /// file's path.
     #[must_use]
     pub fn new(dir: impl AsRef<Path>) -> Self {
         ShardedCheckpointer {
@@ -200,7 +291,9 @@ impl ShardedCheckpointer {
         }
     }
 
-    /// Sets the runs-per-shard capacity.
+    /// Sets the runs-per-shard capacity (default [`DEFAULT_SHARD_RUNS`]).
+    /// On resume the capacity comes from the manifest, except for a v1
+    /// file, whose successor directory takes this one.
     ///
     /// # Panics
     ///
@@ -212,32 +305,33 @@ impl ShardedCheckpointer {
         self
     }
 
-    /// Sets the worker-thread count; see
-    /// [`Checkpointer::jobs`](crate::Checkpointer::jobs).
+    /// Sets the worker-thread count (default: all hardware threads). The
+    /// result and the resumability contract are identical for every count.
     #[must_use]
     pub const fn jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
         self
     }
 
-    /// Sets the worker schedule; see
-    /// [`Checkpointer::schedule`](crate::Checkpointer::schedule).
+    /// Sets the worker schedule (default: [`Schedule::Static`]). Outside
+    /// the config hash: a checkpoint resumes under any schedule.
     #[must_use]
     pub const fn schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
         self
     }
 
-    /// Sets worker core pinning; see
-    /// [`Checkpointer::pinning`](crate::Checkpointer::pinning).
+    /// Sets worker core pinning (default: [`Pinning::None`]); a placement
+    /// hint only.
     #[must_use]
     pub const fn pinning(mut self, pinning: Pinning) -> Self {
         self.pinning = pinning;
         self
     }
 
-    /// Sets the checkpoint cadence in epochs; see
-    /// [`Checkpointer::every`](crate::Checkpointer::every).
+    /// Sets the checkpoint cadence in epochs (plus the unconditional
+    /// write at chip-run boundaries). On [`resume`](Self::resume) an
+    /// explicit cadence overrides the one stored in the checkpoint.
     ///
     /// # Panics
     ///
@@ -249,8 +343,10 @@ impl ShardedCheckpointer {
         self
     }
 
-    /// Attaches a telemetry sink (same signals as the single-file
-    /// checkpointer, plus a `checkpoint.shards_sealed` counter).
+    /// Attaches a telemetry sink: `checkpoint.write` spans,
+    /// `checkpoint.{writes,bytes_written,shards_sealed}` counters, and on
+    /// resume a `campaign.resume` span plus `campaign.runs_skipped` /
+    /// `campaign.epochs_skipped`, on top of what the engines emit.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = recorder;
@@ -258,7 +354,8 @@ impl ShardedCheckpointer {
     }
 
     /// Arms fault injection at the [`FAILPOINT_CHIP`] / [`FAILPOINT_EPOCH`]
-    /// sites.
+    /// sites. Pass a shared `Arc` to keep one hit count across several
+    /// checkpointers (e.g. `fig7_10`'s two dark-fraction campaigns).
     #[must_use]
     pub fn with_failpoint(mut self, failpoint: impl Into<Arc<FailPoint>>) -> Self {
         self.failpoint = failpoint.into();
@@ -266,7 +363,8 @@ impl ShardedCheckpointer {
     }
 
     /// Attaches a streaming [`FleetAccumulator`] fed at the canonical-order
-    /// merge point (pre-folded with the durable prefix on resume).
+    /// merge point (pre-folded with the durable prefix on resume), so its
+    /// summary is byte-identical across worker counts and crash/resume.
     #[must_use]
     pub fn with_fleet(mut self, fleet: Arc<Mutex<FleetAccumulator>>) -> Self {
         self.fleet = Some(fleet);
@@ -280,8 +378,8 @@ impl ShardedCheckpointer {
         self
     }
 
-    /// Runs the campaign from scratch with sharded durable progress,
-    /// collecting the full result. For fleets, prefer
+    /// Runs the campaign from scratch with durable progress, collecting
+    /// the full result. For fleets, prefer
     /// [`run_streamed`](Self::run_streamed).
     ///
     /// # Errors
@@ -292,62 +390,39 @@ impl ShardedCheckpointer {
         campaign: &Campaign,
         policies: &[PolicyKind],
     ) -> Result<CampaignResult, CheckpointError> {
-        let mut runs = Vec::new();
-        self.run_streamed(campaign, policies, |_, metrics| {
-            runs.push(metrics.clone());
-            Ok(())
-        })?;
-        Ok(CampaignResult {
-            runs,
-            dark_fraction: campaign.config().dark_fraction,
-        })
+        collect(campaign, |sink| self.run_streamed(campaign, policies, sink))
     }
 
-    /// Resumes from the checkpoint directory, collecting the full result.
-    /// For fleets, prefer [`resume_streamed`](Self::resume_streamed).
+    /// Resumes from the checkpoint, collecting the full result. For
+    /// fleets, prefer [`resume_streamed`](Self::resume_streamed).
     ///
     /// # Errors
     ///
     /// See [`resume_streamed`](Self::resume_streamed).
     pub fn resume(&self, campaign: &Campaign) -> Result<CampaignResult, CheckpointError> {
-        let mut runs = Vec::new();
-        self.resume_streamed(campaign, |_, metrics| {
-            runs.push(metrics.clone());
-            Ok(())
-        })?;
-        Ok(CampaignResult {
-            runs,
-            dark_fraction: campaign.config().dark_fraction,
-        })
+        collect(campaign, |sink| self.resume_streamed(campaign, sink))
     }
 
-    /// The fleet path: runs the campaign with sharded durable progress and
-    /// hands every completed run to `sink` in canonical order, holding at
-    /// most one shard of runs in memory. Returns the number of runs
-    /// delivered.
+    /// The fleet path: runs the campaign with durable progress and hands
+    /// every completed run to `sink` in canonical order, holding at most
+    /// one shard of runs in memory. Returns the number of runs delivered.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when a durable write fails,
-    /// [`CheckpointError::Injected`] when an armed fail point fires, and
-    /// the executor's panic/abort conditions translated as in the
-    /// single-file checkpointer. Sink errors surface as
-    /// [`CheckpointError::Corrupt`] with the sink's message.
+    /// [`CheckpointError::Injected`] when an armed [`FailPoint`] fires, and
+    /// [`CheckpointError::WorkerPanic`]; the directory then holds the last
+    /// durable state. Sink errors surface as [`CheckpointError::Corrupt`].
     pub fn run_streamed(
         &self,
         campaign: &Campaign,
         policies: &[PolicyKind],
         sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
     ) -> Result<u64, CheckpointError> {
-        let every = self.every_epochs.unwrap_or(DEFAULT_EVERY_EPOCHS);
-        std::fs::create_dir_all(&self.store.dir).map_err(|source| CheckpointError::Io {
-            path: self.store.dir.clone(),
-            source,
-        })?;
         let manifest = ShardManifest {
             version: SHARD_FORMAT_VERSION,
             config_hash: config_hash(campaign.config()),
-            every_epochs: every,
+            every_epochs: self.every_epochs.unwrap_or(DEFAULT_EVERY_EPOCHS),
             policies: policies.to_vec(),
             shard_runs: self.shard_runs,
             sealed: 0,
@@ -356,88 +431,79 @@ impl ShardedCheckpointer {
             completed: Vec::new(),
             in_flight: None,
         };
-        self.store.save_json(&self.store.tail_path(), &tail)?;
-        self.store
-            .save_json(&self.store.manifest_path(), &manifest)?;
-        self.drive(campaign, manifest, tail, sink)
+        self.start(&self.store, campaign, manifest, tail, sink)
     }
 
-    /// Resumes a sharded campaign: the sealed shards and tail are replayed
-    /// to `sink` (and the fleet accumulator) in canonical order first, an
-    /// interrupted mid-chip run re-enters its engine snapshot, and the
-    /// remaining grid runs normally with sharding still active. Returns
-    /// the total number of runs delivered (replayed + fresh).
+    /// Resumes a campaign: the durable prefix is replayed to `sink` (and the
+    /// fleet accumulator) in canonical order, an interrupted mid-chip run
+    /// re-enters its engine snapshot, and the rest runs with checkpointing
+    /// still active. Returns the number of runs delivered (replayed +
+    /// fresh). A regular file is read as a v1 checkpoint and left
+    /// untouched; progress goes to `<file>.shards/` (see the module docs).
     ///
     /// # Errors
     ///
     /// Everything [`run_streamed`](Self::run_streamed) reports, plus
-    /// [`CheckpointError::VersionMismatch`] /
-    /// [`CheckpointError::ConfigMismatch`] /
-    /// [`CheckpointError::ProgressOutOfRange`] /
-    /// [`CheckpointError::Corrupt`] for manifests that don't fit the
-    /// campaign.
+    /// [`CheckpointError::Io`] for a missing checkpoint and
+    /// `VersionMismatch` / `ConfigMismatch` / `ProgressOutOfRange` /
+    /// `Corrupt` for checkpoints that don't fit the campaign.
     pub fn resume_streamed(
         &self,
         campaign: &Campaign,
         sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
     ) -> Result<u64, CheckpointError> {
         let _resume_span = self.recorder.span("campaign.resume");
-        let mut manifest: ShardManifest = self.store.load_json(&self.store.manifest_path())?;
-        if manifest.version != SHARD_FORMAT_VERSION {
-            return Err(CheckpointError::VersionMismatch {
-                found: manifest.version,
-                supported: SHARD_FORMAT_VERSION,
-            });
-        }
-        let expected = config_hash(campaign.config());
-        if manifest.config_hash != expected {
-            return Err(CheckpointError::ConfigMismatch {
-                expected,
-                found: manifest.config_hash,
-            });
-        }
-        if manifest.shard_runs == 0 {
-            return Err(CheckpointError::Corrupt(
-                "manifest declares zero-capacity shards".to_owned(),
-            ));
-        }
+        let v1_file = self.store.dir.is_file();
+        let store = if v1_file {
+            ShardStore::v1_successor(&self.store.dir)
+        } else {
+            self.store.clone()
+        };
+        let migrate = v1_file && !store.manifest_path().exists();
+        let (mut manifest, tail) = if migrate {
+            load_v1(&self.store.dir, campaign, self.shard_runs)?
+        } else {
+            store.load(campaign)?
+        };
         if let Some(every) = self.every_epochs {
             manifest.every_epochs = every;
         }
-        // Rebuild the durable prefix: sealed shards in order, then the tail.
-        let mut tail = ShardTail {
-            completed: Vec::new(),
-            in_flight: None,
-        };
-        let mut prefix: Vec<RunMetrics> = Vec::new();
-        for shard in 0..manifest.sealed {
-            let runs: Vec<RunMetrics> = self.store.load_json(&self.store.shard_path(shard))?;
-            if runs.len() != manifest.shard_runs {
-                return Err(CheckpointError::Corrupt(format!(
-                    "sealed shard {shard} holds {} runs, manifest promises {}",
-                    runs.len(),
-                    manifest.shard_runs
-                )));
-            }
-            prefix.extend(runs);
-        }
-        let loaded: ShardTail = self.store.load_json(&self.store.tail_path())?;
-        prefix.extend(loaded.completed);
-        tail.in_flight = loaded.in_flight;
         self.recorder
-            .counter("campaign.runs_skipped", prefix.len() as u64);
+            .counter("campaign.runs_skipped", tail.completed.len() as u64);
         if let Some(in_flight) = &tail.in_flight {
             self.recorder.counter(
                 "campaign.epochs_skipped",
                 in_flight.engine.next_epoch as u64,
             );
         }
-        // The drive loop owns sealing; hand it the prefix as an oversized
-        // tail and let it re-seal. Sealing is deterministic, so re-written
-        // shard files are byte-identical to the ones already on disk.
-        manifest.sealed = 0;
-        tail.completed = prefix;
-        self.drive(campaign, manifest, tail, sink)
+        // The drive loop owns sealing; the whole prefix arrives as an
+        // oversized tail and is re-sealed. Sealing is deterministic, so
+        // re-written shard files are byte-identical to those on disk.
+        if migrate {
+            self.start(&store, campaign, manifest, tail, sink)
+        } else {
+            self.drive(&store, campaign, manifest, tail, sink)
+        }
+    }
+
+    /// Commits `manifest` and `tail` as the state of `store` — tail first,
+    /// then the manifest, whose write is the commit point — and drives the
+    /// campaign from there.
+    fn start(
+        &self,
+        store: &ShardStore,
+        campaign: &Campaign,
+        manifest: ShardManifest,
+        tail: ShardTail,
+        sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
+    ) -> Result<u64, CheckpointError> {
+        std::fs::create_dir_all(&store.dir).map_err(|source| CheckpointError::Io {
+            path: store.dir.clone(),
+            source,
+        })?;
+        store.save_json(&store.tail_path(), &tail)?;
+        store.save_json(&store.manifest_path(), &manifest)?;
+        self.drive(store, campaign, manifest, tail, sink)
     }
 
     /// The shared fresh/resume loop. `tail.completed` carries the already
@@ -445,6 +511,7 @@ impl ShardedCheckpointer {
     /// every run of the campaign exactly once, in canonical order.
     fn drive(
         &self,
+        store: &ShardStore,
         campaign: &Campaign,
         mut manifest: ShardManifest,
         mut tail: ShardTail,
@@ -476,7 +543,7 @@ impl ShardedCheckpointer {
             }
             sink(index, run).map_err(sink_error)?;
         }
-        self.seal_full_shards(&mut manifest, &mut tail)?;
+        self.seal_full_shards(store, &mut manifest, &mut tail)?;
 
         let in_flight = tail.in_flight.take();
         if let Some(state) = &in_flight {
@@ -545,7 +612,7 @@ impl ShardedCheckpointer {
                         );
                         if index == done {
                             tail.in_flight = snapshots.get(&index).cloned();
-                            self.save_tail(&tail).map_err(DynError::from)?;
+                            self.save_tail(store, &tail).map_err(DynError::from)?;
                         }
                     }
                     RunUpdate::Completed { index, metrics } => {
@@ -564,10 +631,10 @@ impl ShardedCheckpointer {
                             done += 1;
                         }
                         if done != before {
-                            self.seal_full_shards(&mut manifest, &mut tail)
+                            self.seal_full_shards(store, &mut manifest, &mut tail)
                                 .map_err(DynError::from)?;
                             tail.in_flight = snapshots.get(&done).cloned();
-                            self.save_tail(&tail).map_err(DynError::from)?;
+                            self.save_tail(store, &tail).map_err(DynError::from)?;
                         }
                     }
                 }
@@ -585,30 +652,47 @@ impl ShardedCheckpointer {
     /// manifest*, each write atomic. The manifest write is the commit.
     fn seal_full_shards(
         &self,
+        store: &ShardStore,
         manifest: &mut ShardManifest,
         tail: &mut ShardTail,
     ) -> Result<(), CheckpointError> {
         while tail.completed.len() >= manifest.shard_runs {
             let rest = tail.completed.split_off(manifest.shard_runs);
             let shard: Vec<RunMetrics> = std::mem::replace(&mut tail.completed, rest);
-            self.store
-                .save_json(&self.store.shard_path(manifest.sealed), &shard)?;
-            self.save_tail(tail)?;
+            store.save_json(&store.shard_path(manifest.sealed), &shard)?;
+            self.save_tail(store, tail)?;
             manifest.sealed += 1;
-            self.store
-                .save_json(&self.store.manifest_path(), manifest)?;
+            store.save_json(&store.manifest_path(), manifest)?;
             self.recorder.counter("checkpoint.shards_sealed", 1);
         }
         Ok(())
     }
 
-    fn save_tail(&self, tail: &ShardTail) -> Result<(), CheckpointError> {
+    fn save_tail(&self, store: &ShardStore, tail: &ShardTail) -> Result<(), CheckpointError> {
         let _write_span = self.recorder.span("checkpoint.write");
-        let bytes = self.store.save_json(&self.store.tail_path(), tail)?;
+        let bytes = store.save_json(&store.tail_path(), tail)?;
         self.recorder.counter("checkpoint.writes", 1);
         self.recorder.counter("checkpoint.bytes_written", bytes);
         Ok(())
     }
+}
+
+/// Gathers every run a streamed drive delivers into a [`CampaignResult`].
+fn collect(
+    campaign: &Campaign,
+    stream: impl FnOnce(
+        &mut dyn FnMut(usize, &RunMetrics) -> Result<(), DynError>,
+    ) -> Result<u64, CheckpointError>,
+) -> Result<CampaignResult, CheckpointError> {
+    let mut runs = Vec::new();
+    stream(&mut |_, metrics| {
+        runs.push(metrics.clone());
+        Ok(())
+    })?;
+    Ok(CampaignResult {
+        runs,
+        dark_fraction: campaign.config().dark_fraction,
+    })
 }
 
 /// Wraps a sink failure that is not already a checkpoint error.

@@ -15,7 +15,7 @@
 //!   a hardware core round-robin.
 //! * **Owner-thread merge** — workers publish [`RunUpdate`]s over a channel
 //!   to the *calling* thread, which owns the single mutable sink (the
-//!   in-memory result vector, or the [`Checkpointer`] in
+//!   in-memory result vector, or the [`ShardedCheckpointer`] in
 //!   `hayat-checkpoint`). All result mutation and checkpoint I/O stays
 //!   single-threaded by construction.
 //! * **Determinism** — each run is seeded and single-threaded internally, and
@@ -30,7 +30,7 @@
 //!   and the panic surfaces as [`ExecutorError::WorkerPanic`] instead of a
 //!   hang or abort.
 //!
-//! [`Checkpointer`]: ../../../hayat_checkpoint/struct.Checkpointer.html
+//! [`ShardedCheckpointer`]: ../../../hayat_checkpoint/struct.ShardedCheckpointer.html
 
 use crate::metrics::RunMetrics;
 use crate::sim::batch::ChipBatch;
@@ -488,7 +488,7 @@ impl Campaign {
     /// [`RunUpdate`] to `sink` on the calling thread, in completion order.
     ///
     /// This is the engine under [`Campaign::run`] and the checkpointer's
-    /// `run_checkpointed`; call it directly only to build a custom driver.
+    /// `run` / `resume`; call it directly only to build a custom driver.
     /// `in_flight` resumes one partially completed descriptor from an engine
     /// snapshot. The sink may return an error to abort the campaign (workers
     /// abandon their runs at the next epoch boundary).

@@ -16,7 +16,7 @@ use hayat::{
     fleet_stats_from_runs, Campaign, FleetAccumulator, Jobs, ProgressFrame, ProgressOptions,
     SimulationConfig, FLEET_SERIES,
 };
-use hayat_checkpoint::{Checkpointer, FailMode, FailPoint};
+use hayat_checkpoint::{FailMode, FailPoint, ShardedCheckpointer};
 use hayat_telemetry::{EventKind, JsonlRecorder, Recorder, TelemetryEvent};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -61,6 +61,7 @@ fn resumed_fleet_summary_matches_uninterrupted() {
     let campaign = Campaign::new(small_config(2)).unwrap();
     let policies = [PolicyKind::Hayat, PolicyKind::Vaa];
     let path = std::env::temp_dir().join("fleet_observability_resume.ckpt");
+    std::fs::remove_dir_all(&path).ok();
 
     // The uninterrupted reference, through the plain observed runner.
     let reference = Mutex::new(FleetAccumulator::new());
@@ -75,7 +76,7 @@ fn resumed_fleet_summary_matches_uninterrupted() {
     // Interrupt the campaign mid-flight; the first accumulator dies with
     // the "process".
     let crashed_fleet = Arc::new(Mutex::new(FleetAccumulator::new()));
-    let interrupted = Checkpointer::new(&path)
+    let interrupted = ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed("campaign.epoch", 5, FailMode::Error))
         .with_fleet(Arc::clone(&crashed_fleet))
@@ -85,7 +86,7 @@ fn resumed_fleet_summary_matches_uninterrupted() {
     // Resume with a *fresh* accumulator, as a restarted process would: the
     // checkpointer pre-folds the durable prefix before new runs arrive.
     let resumed_fleet = Arc::new(Mutex::new(FleetAccumulator::new()));
-    let resumed = Checkpointer::new(&path)
+    let resumed = ShardedCheckpointer::new(&path)
         .with_fleet(Arc::clone(&resumed_fleet))
         .resume(&campaign)
         .unwrap();
@@ -97,7 +98,7 @@ fn resumed_fleet_summary_matches_uninterrupted() {
         reference, resumed,
         "crash/resume must not perturb the fleet summary"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]

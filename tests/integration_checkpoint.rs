@@ -6,8 +6,8 @@
 use hayat::sim::campaign::PolicyKind;
 use hayat::{Batch, Campaign, Jobs, Schedule, SearchPath, SimulationConfig, SimulationEngine};
 use hayat_checkpoint::{
-    CampaignCheckpoint, CampaignCheckpointExt, CheckpointError, Checkpointer, FailMode, FailPoint,
-    FAILPOINT_CHIP, FAILPOINT_EPOCH,
+    CheckpointError, FailMode, FailPoint, ShardTail, ShardedCheckpointer, FAILPOINT_CHIP,
+    FAILPOINT_EPOCH,
 };
 use hayat_telemetry::MemoryRecorder;
 use proptest::prelude::*;
@@ -23,10 +23,11 @@ fn tiny_config(dark_fraction: f64) -> SimulationConfig {
     config
 }
 
-/// A unique scratch path per test (the OS temp dir survives sandboxes).
+/// A unique scratch checkpoint directory per test (the OS temp dir
+/// survives sandboxes).
 fn scratch(name: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("hayat_ckpt_{name}_{}", std::process::id()));
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
     path
 }
 
@@ -39,7 +40,7 @@ fn killed_and_resumed_matches_uninterrupted_for_all_policies_and_dark_fractions(
             let path = scratch(&format!("kill_{dark}_{}", kind.name()));
 
             // Fault mid-chip: epoch 3 of 8 total (chip 0's fourth epoch).
-            let interrupted = Checkpointer::new(&path)
+            let interrupted = ShardedCheckpointer::new(&path)
                 .every(1)
                 .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 3, FailMode::Error))
                 .run(&campaign, &[kind]);
@@ -48,14 +49,14 @@ fn killed_and_resumed_matches_uninterrupted_for_all_policies_and_dark_fractions(
                 "the armed fail point must abort the campaign"
             );
 
-            let resumed = Checkpointer::new(&path).resume(&campaign).unwrap();
+            let resumed = ShardedCheckpointer::new(&path).resume(&campaign).unwrap();
             assert_eq!(
                 resumed,
                 uninterrupted,
                 "resumed campaign must be bit-identical ({} at dark {dark})",
                 kind.name()
             );
-            std::fs::remove_file(&path).ok();
+            std::fs::remove_dir_all(&path).ok();
         }
     }
 }
@@ -71,14 +72,14 @@ fn crash_at_chip_boundary_skips_completed_runs_verbatim() {
     // jobs pin which runs are durable when the fault fires — with more
     // workers the later jobs would already be in flight and be abandoned,
     // making the skipped-run count scheduling-dependent.
-    let interrupted = Checkpointer::new(&path)
+    let interrupted = ShardedCheckpointer::new(&path)
         .jobs(Jobs::serial())
         .with_failpoint(FailPoint::armed(FAILPOINT_CHIP, 3, FailMode::Error))
         .run(&campaign, &policies);
     assert!(interrupted.is_err());
 
     let recorder = Arc::new(MemoryRecorder::new());
-    let resumed = Checkpointer::new(&path)
+    let resumed = ShardedCheckpointer::new(&path)
         .with_recorder(recorder.clone())
         .resume(&campaign)
         .unwrap();
@@ -93,7 +94,7 @@ fn crash_at_chip_boundary_skips_completed_runs_verbatim() {
     assert_eq!(summary.counter_total("campaign.runs_completed"), Some(2));
     assert_eq!(summary.span("campaign.resume").map(|s| s.count), Some(1));
     assert!(summary.counter_total("checkpoint.writes").unwrap_or(0) >= 2);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -104,20 +105,20 @@ fn repeated_crash_resume_cycles_compose() {
     let path = scratch("repeated");
 
     // Crash twice at different points, resuming in between; hit counters
-    // are per-Checkpointer, so each cycle's fault lands further along.
-    assert!(Checkpointer::new(&path)
+    // are per-checkpointer, so each cycle's fault lands further along.
+    assert!(ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 2, FailMode::Error))
         .run(&campaign, &policies)
         .is_err());
-    assert!(Checkpointer::new(&path)
+    assert!(ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 4, FailMode::Error))
         .resume(&campaign)
         .is_err());
-    let resumed = campaign.resume(&path).unwrap();
+    let resumed = ShardedCheckpointer::new(&path).resume(&campaign).unwrap();
     assert_eq!(resumed, uninterrupted);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -130,7 +131,7 @@ fn panic_mid_campaign_leaves_a_resumable_checkpoint() {
     // instead of unwinding (or hanging the pool) — the other assertion of
     // the `worker panics are captured` contract lives in
     // `tests/parallel_campaign.rs` at the executor level.
-    let panicked = Checkpointer::new(&path)
+    let panicked = ShardedCheckpointer::new(&path)
         .every(1)
         .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, 5, FailMode::Panic))
         .run(&campaign, &[PolicyKind::Hayat]);
@@ -144,9 +145,9 @@ fn panic_mid_campaign_leaves_a_resumable_checkpoint() {
         other => panic!("expected a captured WorkerPanic, got {other:?}"),
     }
 
-    let resumed = campaign.resume(&path).unwrap();
+    let resumed = ShardedCheckpointer::new(&path).resume(&campaign).unwrap();
     assert_eq!(resumed, uninterrupted);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -156,14 +157,14 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
     let plain = campaign.run(&policies);
 
     let serial_path = scratch("jobs_serial");
-    let serial = Checkpointer::new(&serial_path)
+    let serial = ShardedCheckpointer::new(&serial_path)
         .every(1)
         .jobs(Jobs::serial())
         .run(&campaign, &policies)
         .unwrap();
 
     let parallel_path = scratch("jobs_parallel");
-    let parallel = Checkpointer::new(&parallel_path)
+    let parallel = ShardedCheckpointer::new(&parallel_path)
         .every(1)
         .jobs(Jobs::new(4).unwrap())
         .run(&campaign, &policies)
@@ -177,8 +178,8 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
         serde_json::to_string(&parallel).unwrap(),
         serde_json::to_string(&serial).unwrap()
     );
-    std::fs::remove_file(&serial_path).ok();
-    std::fs::remove_file(&parallel_path).ok();
+    std::fs::remove_dir_all(&serial_path).ok();
+    std::fs::remove_dir_all(&parallel_path).ok();
 }
 
 #[test]
@@ -208,7 +209,7 @@ fn checkpoint_resumes_byte_identical_across_schedule_changes() {
         (8, (Schedule::Static, 3), (Schedule::Static, 1)),
     ] {
         let path = scratch(&format!("sched_{from}_{from_batch}_{to}_{to_batch}"));
-        let interrupted = Checkpointer::new(&path)
+        let interrupted = ShardedCheckpointer::new(&path)
             .every(1)
             .jobs(Jobs::new(2).unwrap())
             .schedule(from)
@@ -219,14 +220,16 @@ fn checkpoint_resumes_byte_identical_across_schedule_changes() {
             "the armed fail point must abort the {from}-scheduled campaign"
         );
         if from_batch > 1 {
-            let checkpoint = CampaignCheckpoint::load(&path).unwrap();
+            let tail: ShardTail =
+                serde_json::from_str(&std::fs::read_to_string(path.join("tail.json")).unwrap())
+                    .unwrap();
             assert!(
-                checkpoint.in_flight.is_some(),
+                tail.in_flight.is_some(),
                 "the batched run must die with a snapshot in flight"
             );
         }
 
-        let resumed = Checkpointer::new(&path)
+        let resumed = ShardedCheckpointer::new(&path)
             .jobs(Jobs::new(2).unwrap())
             .schedule(to)
             .resume(&campaign(to_batch))
@@ -240,7 +243,7 @@ fn checkpoint_resumes_byte_identical_across_schedule_changes() {
             serde_json::to_string(&resumed).unwrap(),
             serde_json::to_string(&uninterrupted).unwrap()
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&path).ok();
     }
 }
 
@@ -250,27 +253,27 @@ fn resume_rejects_a_checkpoint_from_a_different_config() {
     let half = Campaign::new(tiny_config(0.5)).unwrap();
     let path = scratch("mismatch");
 
-    quarter
-        .run_checkpointed(&[PolicyKind::Hayat], &path)
+    ShardedCheckpointer::new(&path)
+        .run(&quarter, &[PolicyKind::Hayat])
         .unwrap();
-    let err = half.resume(&path).unwrap_err();
+    let err = ShardedCheckpointer::new(&path).resume(&half).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
         "got {err}"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
 fn completed_checkpoint_resumes_instantly_without_rerunning() {
     let campaign = Campaign::new(tiny_config(0.5)).unwrap();
     let path = scratch("instant");
-    let first = campaign
-        .run_checkpointed(&[PolicyKind::CoolestFirst], &path)
+    let first = ShardedCheckpointer::new(&path)
+        .run(&campaign, &[PolicyKind::CoolestFirst])
         .unwrap();
 
     let recorder = Arc::new(MemoryRecorder::new());
-    let resumed = Checkpointer::new(&path)
+    let resumed = ShardedCheckpointer::new(&path)
         .with_recorder(recorder.clone())
         .resume(&campaign)
         .unwrap();
@@ -280,20 +283,22 @@ fn completed_checkpoint_resumes_instantly_without_rerunning() {
         None,
         "a finished campaign must not re-run anything"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&path).ok();
 }
 
-/// The cross-version regression gate for the decision-path fast kernels.
+/// The cross-version regression gate for the decision-path fast kernels,
+/// and the v1 checkpoint migration.
 ///
 /// `fixtures/pre_pr5.ckpt` and `fixtures/pre_pr5_reference.json` were
 /// produced by the code *before* the flattened aging table, the direct
 /// age-curve inversion, the fused superposition scans, and the policy
 /// scratch landed — when every policy decision still ran the bisection
-/// oracle. The checkpoint holds a half-finished decade campaign (both VAA
-/// runs durable, Hayat chip 0 in flight); the reference is the full
-/// uninterrupted campaign's `--json` export at `--jobs 1`. Resuming that
-/// checkpoint with today's default fast path must complete the campaign
-/// and reproduce the pre-refactor export byte for byte.
+/// oracle. The checkpoint is a v1 single-file checkpoint holding a
+/// half-finished decade campaign (both VAA runs durable, Hayat chip 0 in
+/// flight); the reference is the full uninterrupted campaign's `--json`
+/// export at `--jobs 1`. Resuming that file with today's default fast path
+/// must complete the campaign and reproduce the pre-refactor export byte
+/// for byte, without writing the file: progress goes to `<file>.shards/`.
 #[test]
 fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     // The exact flags the fixture was generated with:
@@ -305,6 +310,14 @@ fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
     config.transient_window_seconds = 0.1;
     config.mesh = (4, 4);
     let reference = include_str!("fixtures/pre_pr5_reference.json");
+    let fixture: &[u8] = include_bytes!("fixtures/pre_pr5.ckpt");
+    let v1_copy = |name: &str| {
+        let path = scratch(name);
+        let shards = PathBuf::from(format!("{}.shards", path.display()));
+        std::fs::remove_dir_all(&shards).ok();
+        std::fs::write(&path, fixture).unwrap();
+        (path, shards)
+    };
 
     // Resume under both search paths: the tiled candidate index (today's
     // default) and the exhaustive scan the fixture era actually ran. The
@@ -315,14 +328,12 @@ fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
         ("tiled", SearchPath::Tiled),
         ("exhaustive", SearchPath::Exhaustive),
     ] {
-        let path = scratch(&format!("pre_pr5_fixture_{name}"));
-        // Resume rewrites the checkpoint in place, so work on a copy.
-        std::fs::write(&path, include_bytes!("fixtures/pre_pr5.ckpt")).unwrap();
+        let (path, shards) = v1_copy(&format!("pre_pr5_fixture_{name}"));
         let campaign = Campaign::new(config.clone())
             .unwrap()
             .with_search_path(path_kind);
 
-        let result = Checkpointer::new(&path)
+        let result = ShardedCheckpointer::new(&path)
             .jobs(Jobs::serial())
             .resume(&campaign)
             .expect("the committed fixture must stay resumable");
@@ -333,8 +344,41 @@ fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
             reference.trim_end(),
             "the {name} decision path changed the campaign the oracle-era code produced"
         );
+        assert!(
+            std::fs::read(&path).unwrap() == fixture,
+            "resume must never write the v1 file"
+        );
+
+        // A second resume of the same path continues from `<file>.shards/`,
+        // where the finished campaign is durable, and re-runs nothing.
+        let recorder = Arc::new(MemoryRecorder::new());
+        let again = ShardedCheckpointer::new(&path)
+            .jobs(Jobs::serial())
+            .with_recorder(recorder.clone())
+            .resume(&campaign)
+            .unwrap();
+        assert_eq!(again, result);
+        let summary = recorder.summary();
+        assert_eq!(summary.counter_total("campaign.runs_skipped"), Some(4));
+        assert_eq!(summary.counter_total("campaign.runs_completed"), None);
+        assert!(std::fs::read(&path).unwrap() == fixture);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&shards).ok();
     }
+
+    // A v1 file is fingerprinted like a checkpoint directory: a campaign
+    // built from another config is refused before anything is written.
+    let (path, shards) = v1_copy("pre_pr5_fixture_mismatch");
+    config.dark_fraction = 0.25;
+    let other = Campaign::new(config).unwrap();
+    let err = ShardedCheckpointer::new(&path).resume(&other).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::ConfigMismatch { .. }),
+        "got {err}"
+    );
+    assert!(std::fs::read(&path).unwrap() == fixture);
+    assert!(!shards.exists());
+    std::fs::remove_file(&path).ok();
 }
 
 /// The engine-level property behind all of the above: snapshotting at an
