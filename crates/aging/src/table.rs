@@ -82,33 +82,19 @@ impl Default for TableAxes {
 /// Numerically the two paths compute the same function — the collapsed
 /// [`AgeCurve`] *is* the trilinear interpolant restricted to a fixed
 /// (temperature, duty) — so they differ only in floating-point rounding
-/// (≈1e-15) and speed. The oracle is kept as the cross-validation reference;
-/// the determinism gate runs a campaign under each and compares output
-/// byte-for-byte.
-///
-/// Deliberately *not* part of `SimulationConfig`: like the worker count, the
-/// table path must never influence results or checkpoint compatibility (the
-/// checkpoint config hash fingerprints only physics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// (≈1e-15) and speed. Decisions always use [`TablePath::Fast`]; the oracle
+/// is kept as the cross-validation reference the identity tests compare
+/// against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TablePath {
     /// Collapse to a 1D age curve once per (temperature, duty) query and
-    /// invert it directly. The default.
-    #[default]
+    /// invert it directly.
     Fast,
     /// The original 64-iteration bisection over trilinear lookups.
     Oracle,
 }
 
 impl TablePath {
-    /// Human-readable name (matches the `FromStr` spelling).
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            TablePath::Fast => "fast",
-            TablePath::Oracle => "oracle",
-        }
-    }
-
     /// How many trilinear-lookup-equivalents one health advance costs:
     /// the oracle pays up to 2 clamp probes + 64 bisection steps + 1 final
     /// read; the fast path pays a single bilinear collapse.
@@ -117,18 +103,6 @@ impl TablePath {
         match self {
             TablePath::Fast => 1,
             TablePath::Oracle => 67,
-        }
-    }
-}
-
-impl std::str::FromStr for TablePath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fast" => Ok(TablePath::Fast),
-            "oracle" => Ok(TablePath::Oracle),
-            other => Err(format!("unknown table path {other:?} (fast|oracle)")),
         }
     }
 }
@@ -313,8 +287,8 @@ impl AgingTable {
     /// This is the *oracle* advance ([`TablePath::Oracle`]) — built on the
     /// bisection of [`equivalent_age`](Self::equivalent_age). The engine's
     /// end-of-epoch health upscale always uses it (it is the canonical path
-    /// results files are defined against); policies use
-    /// [`AgeCurve::advance`] unless cross-validating.
+    /// results files are defined against); policy decisions use
+    /// [`AgeCurve::advance`].
     ///
     /// # Panics
     ///
@@ -863,15 +837,5 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let truncated = json.replacen("[[[", "[[", 1);
         assert!(serde_json::from_str::<AgingTable>(&truncated).is_err());
-    }
-
-    #[test]
-    fn table_path_parses_and_names() {
-        assert_eq!("fast".parse::<TablePath>().unwrap(), TablePath::Fast);
-        assert_eq!("oracle".parse::<TablePath>().unwrap(), TablePath::Oracle);
-        assert!("trilinear".parse::<TablePath>().is_err());
-        assert_eq!(TablePath::default(), TablePath::Fast);
-        assert_eq!(TablePath::Fast.name(), "fast");
-        assert!(TablePath::Oracle.lookups_per_advance() > TablePath::Fast.lookups_per_advance());
     }
 }

@@ -5,12 +5,11 @@
 //! (the end-to-end campaign unit: 10 years, 40 epochs, one chip, the Hayat
 //! policy) — each under both time integrators, plus a **campaign scaling**
 //! section measuring the parallel executor at `--jobs 1/2/4`, plus a
-//! **decision path** section timing one Hayat epoch decision on an aged
-//! chip under the direct age-curve inversion (fast, the default) against
-//! the bisection oracle it replaced, with a `policy.table_lookups` counter
-//! comparison and a hard fast-vs-oracle gate on the table-advance micro,
-//! plus an **observability** section gating the streaming fleet-sketch
-//! aggregator's overhead at under 2% of campaign wall time, plus a
+//! **decision path** section gating the table-advance micro — the direct
+//! age-curve inversion every decision uses against the bisection oracle
+//! it replaced — at 5x, plus an **observability** section gating the
+//! streaming fleet-sketch aggregator's overhead at under 2% of campaign
+//! wall time, plus a
 //! **batched kernels** section driving 64 chips through the lockstep
 //! [`ChipBatch`] data path at widths 1/8/64 and gating the per-chip
 //! decision+thermal throughput gain at batch 64 at 1.5x or better, plus a
@@ -61,8 +60,8 @@
 
 use hayat::{
     Campaign, ChipBatch, ChipSystem, ExecutorOptions, FleetAccumulator, GateSite, HayatPolicy,
-    Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics, RunUpdate, Schedule,
-    SearchPath, SimulationConfig, SimulationEngine,
+    HayatReference, Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics,
+    RunUpdate, Schedule, SearchPath, SimulationConfig, SimulationEngine,
 };
 use hayat_aging::{AgeCurveScratch, TablePath};
 use hayat_floorplan::Floorplan;
@@ -223,26 +222,12 @@ struct SchedulerSection {
     utilization: Vec<WorkerUtilization>,
 }
 
-/// Fast-vs-oracle timings of one Hayat epoch decision on an aged chip —
-/// the PR-5 decision-path kernels.
+/// The gated table-advance micro: the direct age-curve inversion every
+/// decision uses against the bisection oracle it replaced.
 #[derive(Serialize)]
 struct DecisionPath {
-    /// How the measured system was prepared.
+    /// What the micro runs.
     setup: String,
-    aged_epochs: usize,
-    threads: usize,
-    /// One Hayat `map_threads` call (warm scratch, recycled mapping).
-    single_decision_fast_seconds: f64,
-    single_decision_oracle_seconds: f64,
-    single_decision_speedup: f64,
-    /// One full epoch: decision + transient window + health upscale.
-    single_epoch_fast_seconds: f64,
-    single_epoch_oracle_seconds: f64,
-    single_epoch_speedup: f64,
-    /// The full 40-epoch decade on one chip.
-    single_chip_decade_fast_seconds: f64,
-    single_chip_decade_oracle_seconds: f64,
-    single_chip_decade_speedup: f64,
     /// Table-advance micro: direct age-curve inversion vs 64-step bisection
     /// over the same (temperature, duty, health) sequence.
     table_advance_fast_seconds: f64,
@@ -250,10 +235,6 @@ struct DecisionPath {
     table_advance_speedup: f64,
     /// Hard perf gate: the fast advance must be at least 5x the oracle.
     advance_gate_ok: bool,
-    /// `policy.table_lookups` for one decision under each path (equal
-    /// advances x 1 vs x 67 lookup-equivalents).
-    table_lookups_fast: u64,
-    table_lookups_oracle: u64,
 }
 
 /// Overhead of the fleet observability layer: the fixed scaling campaign
@@ -337,8 +318,9 @@ struct FloorplanPoint {
     cols: usize,
     cores: usize,
     threads: usize,
-    /// One Hayat `map_threads` call (warm scratch, recycled mapping) under
-    /// each search path on the aged chip.
+    /// One Hayat `map_threads` call (warm scratch, recycled mapping) on the
+    /// aged chip: production Hayat, and the reference policy's exhaustive
+    /// scan.
     tiled_decision_seconds: f64,
     exhaustive_decision_seconds: f64,
     /// `exhaustive / tiled`.
@@ -357,9 +339,9 @@ struct SkippedFloorplan {
 
 /// Decision latency and per-chip epoch wall time as the mesh grows —
 /// the sub-quadratic tiled candidate index against the exhaustive scan it
-/// replaced as the default. Both paths pick bit-identical mappings (the
-/// policy's proptests and the CI determinism gate hold them to it), so the
-/// race is purely about how many candidates each one touches.
+/// replaced. Both pick bit-identical mappings (the policy's proptests and
+/// the CI determinism gate hold them to it), so the race is purely about
+/// how many candidates each one touches.
 #[derive(Serialize)]
 struct LargeFloorplan {
     setup: String,
@@ -1203,10 +1185,10 @@ fn observability_overhead(fast: bool) -> Observability {
     }
 }
 
-/// The configuration the decision-path section runs: the paper's 8×8 chip
-/// on a 10-year, 40-epoch grid, with a short transient window so the
-/// decision is a meaningful share of the epoch (the window cost is
-/// identical under both table paths and already measured above).
+/// The configuration the decision-path and large-floorplan sections run:
+/// the paper's 8×8 chip on a 10-year, 40-epoch grid, with a short transient
+/// window so the decision is a meaningful share of the epoch (the window
+/// cost is already measured above).
 fn decision_config() -> SimulationConfig {
     let mut config = SimulationConfig::quick_demo();
     config.years = 10.0;
@@ -1226,17 +1208,17 @@ fn aged_system(config: &SimulationConfig, epochs: usize) -> ChipSystem {
     engine.system().clone()
 }
 
-/// One Hayat `map_threads` call with a warm scratch and a recycled mapping —
-/// the steady-state epoch decision the engine performs.
+/// One `map_threads` call of `policy` with a warm scratch and a recycled
+/// mapping — the steady-state epoch decision the engine performs.
 fn single_decision_seconds(
     system: &ChipSystem,
     workload: &WorkloadMix,
     horizon: Years,
     reps: u32,
+    policy: &mut dyn Policy,
 ) -> f64 {
     let scratch = RefCell::new(PolicyScratch::new());
     let ctx = PolicyContext::new(system, horizon, Years::new(0.0)).with_scratch(&scratch);
-    let mut policy = HayatPolicy::default();
     time_best(
         || {
             let mapping = policy.map_threads(&ctx, workload);
@@ -1244,17 +1226,6 @@ fn single_decision_seconds(
         },
         reps,
     )
-}
-
-/// The `policy.table_lookups` counter emitted by one decision.
-fn decision_lookups(system: &ChipSystem, workload: &WorkloadMix, horizon: Years) -> u64 {
-    let recorder = MemoryRecorder::new();
-    let ctx = PolicyContext::new(system, horizon, Years::new(0.0)).with_recorder(&recorder);
-    HayatPolicy::default().map_threads(&ctx, workload);
-    recorder
-        .summary()
-        .counter_total("policy.table_lookups")
-        .unwrap_or(0)
 }
 
 /// Table-advance micro: the same (temperature, duty, health) chain through
@@ -1282,90 +1253,32 @@ fn table_advance_seconds(system: &ChipSystem, path: TablePath, reps: u32) -> f64
     )
 }
 
-/// Times the epoch decision path fast vs oracle on an aged chip and gates
-/// the table-advance micro at 5x.
+/// Times the table-advance micro fast vs oracle and gates it at 5x.
 fn decision_path(fast_mode: bool) -> DecisionPath {
-    let config = decision_config();
-    let aged_epochs = 8;
-    let base = aged_system(&config, aged_epochs);
-    let threads = base.budget().max_on();
-    let workload = WorkloadMix::generate(config.workload_seed, threads);
-    let horizon = config.horizon();
-    let fast_sys = base.clone().with_table_path(TablePath::Fast);
-    let oracle_sys = base.clone().with_table_path(TablePath::Oracle);
-    let (dec_reps, epoch_reps, decade_reps, micro_reps) = if fast_mode {
-        (20, 3, 1, 20)
-    } else {
-        (100, 10, 3, 100)
-    };
-
-    let decision_fast = single_decision_seconds(&fast_sys, &workload, horizon, dec_reps);
-    let decision_oracle = single_decision_seconds(&oracle_sys, &workload, horizon, dec_reps);
-    let epoch_fast = single_epoch_seconds(&fast_sys, &config, epoch_reps);
-    let epoch_oracle = single_epoch_seconds(&oracle_sys, &config, epoch_reps);
-    let decade_fast = single_chip_decade_seconds(&fast_sys, &config, decade_reps);
-    let decade_oracle = single_chip_decade_seconds(&oracle_sys, &config, decade_reps);
-    let advance_fast = table_advance_seconds(&base, TablePath::Fast, micro_reps);
-    let advance_oracle = table_advance_seconds(&base, TablePath::Oracle, micro_reps);
+    let system = ChipSystem::paper_chip(0, &decision_config()).expect("paper chip builds");
+    let micro_reps = if fast_mode { 20 } else { 100 };
+    let advance_fast = table_advance_seconds(&system, TablePath::Fast, micro_reps);
+    let advance_oracle = table_advance_seconds(&system, TablePath::Oracle, micro_reps);
     let advance_speedup = advance_oracle / advance_fast;
     assert!(
         advance_speedup >= 5.0,
         "fast table advance must be at least 5x the oracle, measured {advance_speedup:.2}x"
     );
-    let lookups_fast = decision_lookups(&fast_sys, &workload, horizon);
-    let lookups_oracle = decision_lookups(&oracle_sys, &workload, horizon);
-
     println!(
-        "  decision path ({} threads on a chip aged {} epochs):",
-        threads, aged_epochs
-    );
-    println!(
-        "    decision {:9.3} ms -> {:9.3} ms  ({:.2}x)",
-        decision_oracle * 1e3,
-        decision_fast * 1e3,
-        decision_oracle / decision_fast
-    );
-    println!(
-        "    epoch    {:9.3} ms -> {:9.3} ms  ({:.2}x)",
-        epoch_oracle * 1e3,
-        epoch_fast * 1e3,
-        epoch_oracle / epoch_fast
-    );
-    println!(
-        "    decade   {:9.3} s  -> {:9.3} s   ({:.2}x)",
-        decade_oracle,
-        decade_fast,
-        decade_oracle / decade_fast
-    );
-    println!(
-        "    advance  {:9.3} us -> {:9.3} us  ({:.2}x, gate >= 5x ok)",
+        "  table advance {:9.3} us -> {:9.3} us  ({:.2}x, gate >= 5x ok)",
         advance_oracle / 256.0 * 1e6,
         advance_fast / 256.0 * 1e6,
         advance_speedup
     );
-    println!("    table lookups per decision: {lookups_fast} fast, {lookups_oracle} oracle");
 
     DecisionPath {
-        setup: "quick_demo at 10 years / 0.25-year epochs / 0.1 s window, chip 0 aged 8 \
-                epochs under Hayat before timing"
+        setup: "quick_demo aging table; one health chain advanced 0.25 years through 256 \
+                temperatures (315-366 K) at duty 0.7"
             .to_owned(),
-        aged_epochs,
-        threads,
-        single_decision_fast_seconds: decision_fast,
-        single_decision_oracle_seconds: decision_oracle,
-        single_decision_speedup: decision_oracle / decision_fast,
-        single_epoch_fast_seconds: epoch_fast,
-        single_epoch_oracle_seconds: epoch_oracle,
-        single_epoch_speedup: epoch_oracle / epoch_fast,
-        single_chip_decade_fast_seconds: decade_fast,
-        single_chip_decade_oracle_seconds: decade_oracle,
-        single_chip_decade_speedup: decade_oracle / decade_fast,
         table_advance_fast_seconds: advance_fast,
         table_advance_oracle_seconds: advance_oracle,
         table_advance_speedup: advance_speedup,
         advance_gate_ok: advance_speedup >= 5.0,
-        table_lookups_fast: lookups_fast,
-        table_lookups_oracle: lookups_oracle,
     }
 }
 
@@ -1394,8 +1307,6 @@ fn large_floorplan(full: bool) -> LargeFloorplan {
         let threads = base.budget().max_on();
         let workload = WorkloadMix::generate(config.workload_seed, threads);
         let horizon = config.horizon();
-        let tiled_sys = base.clone().with_search_path(SearchPath::Tiled);
-        let exhaustive_sys = base.with_search_path(SearchPath::Exhaustive);
         // Reps shrink with core count: the exhaustive arm is the quadratic
         // one being displaced, and one 64×64 oracle decision already costs
         // more than a full 8×8 rep block.
@@ -1404,9 +1315,21 @@ fn large_floorplan(full: bool) -> LargeFloorplan {
             257..=1024 => (5, 2),
             _ => (2, 1),
         };
-        let tiled = single_decision_seconds(&tiled_sys, &workload, horizon, dec_reps);
-        let exhaustive = single_decision_seconds(&exhaustive_sys, &workload, horizon, dec_reps);
-        let epoch = single_epoch_seconds(&tiled_sys, &config, epoch_reps);
+        let tiled = single_decision_seconds(
+            &base,
+            &workload,
+            horizon,
+            dec_reps,
+            &mut HayatPolicy::default(),
+        );
+        let exhaustive = single_decision_seconds(
+            &base,
+            &workload,
+            horizon,
+            dec_reps,
+            &mut HayatReference::new(SearchPath::Exhaustive, TablePath::Fast),
+        );
+        let epoch = single_epoch_seconds(&base, &config, epoch_reps);
         println!(
             "    {size}: decision {:9.3} ms exhaustive -> {:9.3} ms tiled  ({:.2}x), \
              epoch {:.3} s",

@@ -16,9 +16,11 @@
 //! boundary) as sealed shards of `--shard-checkpoints N` runs (default 256)
 //! plus a small tail, and `--resume DIR` continues an interrupted campaign —
 //! with the *same* config flags — skipping all completed work. A resumed
-//! campaign is bit-identical to an uninterrupted one. `--resume` also
-//! accepts a single-file checkpoint written by an earlier build; that file
-//! is only read, and progress continues in `FILE.shards/`.
+//! campaign is bit-identical to an uninterrupted one. A `--resume`
+//! directory with no committed manifest (a run killed before its first
+//! commit) starts the campaign fresh there. `--resume` also accepts a
+//! single-file checkpoint written by an earlier build; that file is only
+//! read, and progress continues in `FILE.shards/`.
 //!
 //! Fleet scale: `--fleet N` simulates N chips without ever materializing
 //! them — chips stream from the seeded sampler, completed runs stream into
@@ -38,9 +40,8 @@ use std::time::Duration;
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
     Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, Pinning, ProgressOptions,
-    RunMetrics, Schedule, SearchPath, SimulationConfig,
+    RunMetrics, Schedule, SimulationConfig,
 };
-use hayat_aging::TablePath;
 use hayat_checkpoint::{CheckpointError, FailPoint, ShardedCheckpointer};
 use hayat_runfmt::RunFileWriter;
 use hayat_telemetry::{JsonlRecorder, Recorder};
@@ -68,8 +69,6 @@ struct Args {
     batch: Batch,
     schedule: Schedule,
     pin: Pinning,
-    table_path: TablePath,
-    search_path: SearchPath,
     fleet: Option<usize>,
     run_format_path: Option<String>,
     export_json_path: Option<String>,
@@ -84,7 +83,6 @@ fn usage() -> ! {
          [--window S] [--seed N] [--mesh N] [--floorplan RxC] \
          [--jobs N|auto] [--batch N] \
          [--schedule static|steal] [--pin none|cores] \
-         [--table-path fast|oracle] [--search-path tiled|exhaustive] \
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
          [--progress SECS] [--progress-jsonl FILE.jsonl] \
@@ -112,13 +110,6 @@ fn usage() -> ! {
          through the batched SoA thermal/policy kernels (default 1); like \
          --jobs it is a pure execution knob — output is byte-identical for \
          every width. \
-         --table-path selects the policies' aging-table inversion: the \
-         direct age-curve inversion (fast, default) or the bisection \
-         oracle it replaces — output is byte-identical for both. \
-         --search-path selects the policies' candidate search: the tiled \
-         branch-and-bound index (tiled, default — sub-quadratic on large \
-         floorplans) or the exhaustive oracle scan it prunes — output is \
-         byte-identical for both. \
          --floorplan RxC simulates an R-row × C-column core mesh (e.g. \
          32x32 or 16x64; overrides --mesh, which stays as the square \
          shorthand). \
@@ -126,7 +117,8 @@ fn usage() -> ! {
          directory (written atomically every EPOCHS epochs and at chip \
          boundaries); --resume continues from such a directory, skipping \
          completed work — a resumed run is bit-identical to an \
-         uninterrupted one, for any --jobs. --resume also reads a \
+         uninterrupted one, for any --jobs; a directory with no committed \
+         manifest starts the campaign fresh there. --resume also reads a \
          single-file checkpoint from an earlier build without changing it; \
          progress then continues in FILE.shards/. --shard-checkpoints N \
          sets the runs per sealed shard (default 256), so each durable \
@@ -215,8 +207,6 @@ fn parse_args() -> Args {
         batch: Batch::serial(),
         schedule: or_exit(Schedule::from_env),
         pin: or_exit(Pinning::from_env),
-        table_path: TablePath::default(),
-        search_path: SearchPath::default(),
         fleet: None,
         run_format_path: None,
         export_json_path: None,
@@ -277,18 +267,6 @@ fn parse_args() -> Args {
             }
             "--pin" => {
                 args.pin = value("--pin").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--table-path" => {
-                args.table_path = value("--table-path").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--search-path" => {
-                args.search_path = value("--search-path").parse().unwrap_or_else(|msg| {
                     eprintln!("{msg}");
                     usage()
                 });
@@ -419,6 +397,22 @@ fn checkpointer(
     runner
 }
 
+/// Whether `runner` resumes: `--resume` at a committed checkpoint. A
+/// `--resume` directory without a manifest (a run killed before its first
+/// commit) starts the campaign fresh, checkpointed into that directory.
+fn resumes(args: &Args, runner: &ShardedCheckpointer, path: &str) -> bool {
+    if args.resume_path.is_none() {
+        return false;
+    }
+    let resume = runner.has_checkpoint();
+    if resume {
+        println!("resuming from checkpoint {path}");
+    } else {
+        println!("no committed checkpoint in {path}; starting the campaign fresh there");
+    }
+    resume
+}
+
 /// Reports a checkpointed campaign that stopped early and exits 1.
 fn checkpoint_aborted(err: &CheckpointError, path: &str) -> ! {
     eprintln!("campaign aborted: {err}");
@@ -502,8 +496,7 @@ fn run_fleet(
 
     let delivered = if let Some(path) = checkpoint_path(args) {
         let runner = checkpointer(args, path, recorder, Some(&fleet), progress);
-        let outcome = if args.resume_path.is_some() {
-            println!("resuming from checkpoint {path}");
+        let outcome = if resumes(args, &runner, path) {
             runner.resume_streamed(campaign, |_, metrics| sink(metrics))
         } else {
             runner.run_streamed(campaign, &args.policies, |_, metrics| sink(metrics))
@@ -619,8 +612,6 @@ fn main() {
 
     let campaign = Campaign::new(config)
         .expect("configuration is valid")
-        .with_table_path(args.table_path)
-        .with_search_path(args.search_path)
         .with_batch(args.batch)
         .with_schedule(args.schedule)
         .with_pinning(args.pin);
@@ -668,8 +659,7 @@ fn main() {
         .map(|_| Arc::new(Mutex::new(FleetAccumulator::new())));
     let result = if let Some(path) = checkpoint_path(&args) {
         let runner = checkpointer(&args, path, recorder.as_ref(), fleet.as_ref(), progress);
-        let outcome = if args.resume_path.is_some() {
-            println!("resuming from checkpoint {path}");
+        let outcome = if resumes(&args, &runner, path) {
             runner.resume(&campaign)
         } else {
             runner.run(&campaign, &args.policies)

@@ -18,10 +18,8 @@
 //! `--jobs N|auto` (default `auto` = available parallelism) runs the
 //! campaign grid on N worker threads; output is byte-identical for any N.
 //! `--schedule static|steal` selects how workers claim work, `--pin
-//! none|cores` pins workers to cores, `--batch N` runs N consecutive
-//! chips in lockstep per worker claim through the batched SoA kernels,
-//! and `--search-path tiled|exhaustive` selects the policies' candidate
-//! search (tiled branch-and-bound index vs the oracle scan it prunes) —
+//! none|cores` pins workers to cores, and `--batch N` runs N consecutive
+//! chips in lockstep per worker claim through the batched SoA kernels —
 //! all pure execution knobs with byte-identical output. The `HAYAT_JOBS`,
 //! `HAYAT_SCHEDULE`, and `HAYAT_PIN` environment variables set the
 //! defaults; flags override.
@@ -34,27 +32,59 @@
 //! `STEM.dark25` / `STEM.dark50` (atomic writes, every `--every EPOCHS`
 //! epochs), and `--resume STEM` picks the experiment back up — completed
 //! campaigns load instantly, an interrupted one re-enters mid-chip, and a
-//! missing checkpoint starts that campaign fresh (still checkpointed).
+//! missing checkpoint (or a directory with no committed manifest) starts
+//! that campaign fresh (still checkpointed).
 //! Single-file checkpoints from earlier builds resume read-only.
 //!
 //! `--fleet-stats STEM` streams every run into mergeable online sketches
 //! and writes one summary per dark fraction (`STEM.dark25.json`,
 //! `STEM.dark50.json`) — byte-identical for any `--jobs` value and across
 //! crash/resume cycles.
+//!
+//! An unknown flag, a flag missing its value, or a `--json` directory that
+//! does not exist exits 2 with one line of text before any work starts.
 
 use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
-    Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, Schedule, SearchPath,
-    SimulationConfig,
+    Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, Schedule, SimulationConfig,
 };
 use hayat_bench::{bar_row, parse_every, section};
 use hayat_checkpoint::{FailPoint, ShardedCheckpointer};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
 
+/// Every flag that takes a value; `--quick` is the only bare flag.
+const VALUE_FLAGS: &[&str] = &[
+    "--json",
+    "--telemetry",
+    "--fleet-stats",
+    "--checkpoint",
+    "--resume",
+    "--every",
+    "--jobs",
+    "--schedule",
+    "--pin",
+    "--batch",
+    "--floorplan",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let exit_on_err = |err: String| -> ! {
+        eprintln!("{err}");
+        std::process::exit(2)
+    };
+    let mut flags = args.iter().skip(1);
+    while let Some(flag) = flags.next() {
+        if VALUE_FLAGS.contains(&flag.as_str()) {
+            if flags.next().is_none() {
+                exit_on_err(format!("missing value for {flag}"));
+            }
+        } else if flag != "--quick" {
+            exit_on_err(format!("unknown flag {flag:?}"));
+        }
+    }
     let quick = args.iter().any(|a| a == "--quick");
     // Optional archive: `--json <dir>` writes the raw CampaignResult of each
     // dark fraction as JSON for external analysis.
@@ -63,6 +93,11 @@ fn main() {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
         .cloned();
+    if let Some(dir) = &json_dir {
+        if !std::path::Path::new(dir).is_dir() {
+            exit_on_err(format!("--json: no directory at {dir}"));
+        }
+    }
     // Optional observability: `--telemetry <file.jsonl>` streams one JSON
     // event per line covering both dark-fraction campaigns.
     let telemetry_path = args
@@ -81,10 +116,6 @@ fn main() {
         .position(|a| a == "--fleet-stats")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let exit_on_err = |err: String| -> ! {
-        eprintln!("{err}");
-        std::process::exit(2)
-    };
     // Crash safety: `--checkpoint STEM` / `--resume STEM` persist each
     // dark-fraction campaign to its own derived directory (STEM.dark25, ...).
     let checkpoint_stem = args
@@ -142,14 +173,6 @@ fn main() {
         .map_or(Batch::serial(), |v| {
             v.parse().unwrap_or_else(|e| exit_on_err(e))
         });
-    // Candidate-search path: tiled index (default) or the exhaustive oracle.
-    let search_path = args
-        .iter()
-        .position(|a| a == "--search-path")
-        .and_then(|i| args.get(i + 1))
-        .map_or(SearchPath::default(), |v| {
-            v.parse().unwrap_or_else(|e| exit_on_err(e))
-        });
     // Optional mesh override, e.g. --floorplan 32x32 or 16x64.
     let floorplan = args
         .iter()
@@ -185,8 +208,7 @@ fn main() {
             .expect("paper configuration is valid")
             .with_schedule(schedule)
             .with_pinning(pin)
-            .with_batch(batch)
-            .with_search_path(search_path);
+            .with_batch(batch);
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
         let fleet = fleet_stem
             .as_ref()
@@ -208,7 +230,7 @@ fn main() {
             if let Some(fleet) = &fleet {
                 runner = runner.with_fleet(Arc::clone(fleet));
             }
-            let resumable = resume_stem.is_some() && std::path::Path::new(&path).exists();
+            let resumable = resume_stem.is_some() && runner.has_checkpoint();
             let outcome = if resumable {
                 println!("(resuming {:.0}% dark campaign from {path})", dark * 100.0);
                 runner.resume(&campaign)

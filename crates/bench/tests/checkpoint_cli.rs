@@ -154,3 +154,108 @@ fn resume_from_a_missing_checkpoint_is_refused_in_one_line() {
     assert_refused(&out, "no checkpoint");
     assert!(String::from_utf8_lossy(&out.stdout).is_empty());
 }
+
+#[test]
+fn resume_of_a_directory_without_a_manifest_starts_fresh() {
+    // A kill between a fresh run's directory creation and its first
+    // manifest write leaves an empty directory, or one holding only
+    // `tail.json`. Neither holds committed progress, so `--resume` runs the
+    // campaign from scratch, checkpointed into the same directory.
+    let reference_json = scratch("fresh_reference.json");
+    let reference = campaign_cmd()
+        .args(["--json", reference_json.to_str().unwrap()])
+        .output()
+        .expect("run campaign binary");
+    assert!(reference.status.success());
+    let expected = std::fs::read(&reference_json).expect("reference JSON written");
+
+    for (name, tail_only) in [("empty.ckpt", false), ("tail_only.ckpt", true)] {
+        let checkpoint = scratch(name);
+        std::fs::create_dir_all(&checkpoint).unwrap();
+        if tail_only {
+            std::fs::write(
+                checkpoint.join("tail.json"),
+                r#"{"completed":[],"in_flight":null}"#,
+            )
+            .unwrap();
+        }
+        let resumed_json = scratch(&format!("{name}.json"));
+        let resumed = campaign_cmd()
+            .args(["--resume", checkpoint.to_str().unwrap()])
+            .args(["--json", resumed_json.to_str().unwrap()])
+            .output()
+            .expect("run campaign binary");
+        assert!(
+            resumed.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        let actual = std::fs::read(&resumed_json).expect("resumed JSON written");
+        assert!(
+            expected == actual,
+            "{name}: JSON differs from the uninterrupted run"
+        );
+        assert!(
+            checkpoint.join("manifest.json").is_file(),
+            "{name}: the fresh run must checkpoint into the same directory"
+        );
+        std::fs::remove_file(&resumed_json).ok();
+        std::fs::remove_dir_all(&checkpoint).ok();
+    }
+    std::fs::remove_file(&reference_json).ok();
+}
+
+fn fig7_10_cmd() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig7_10"));
+    cmd.env_remove("HAYAT_FAILPOINT");
+    cmd
+}
+
+/// The two retired decision-oracle flags: the table-path and search-path
+/// selectors.
+fn retired_flags() -> [String; 2] {
+    ["table", "search"].map(|knob| format!("--{knob}-path"))
+}
+
+#[test]
+fn fig7_10_refuses_unknown_and_retired_flags_in_one_line() {
+    let [table, search] = retired_flags();
+    let cases: [&[&str]; 4] = [
+        &["--quick", "--bogus-flag", "7"],
+        &["--quick", search.as_str(), "exhaustive"],
+        &["--quick", table.as_str(), "oracle"],
+        &["--quick", "--jobs"],
+    ];
+    for args in cases {
+        let out = fig7_10_cmd()
+            .args(args)
+            .output()
+            .expect("run fig7_10 binary");
+        assert_refused(&out, args[1]);
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn fig7_10_refuses_a_missing_json_directory_before_running() {
+    let missing = scratch("no_such_json_dir");
+    let out = fig7_10_cmd()
+        .args(["--quick", "--json", missing.to_str().unwrap()])
+        .output()
+        .expect("run fig7_10 binary");
+    assert_refused(&out, "--json");
+    assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+}
+
+#[test]
+fn campaign_refuses_the_retired_oracle_flags() {
+    for flag in retired_flags() {
+        let out = campaign_cmd()
+            .args([flag.as_str(), "fast"])
+            .output()
+            .expect("run campaign binary");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&flag));
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+    }
+}

@@ -291,6 +291,15 @@ impl ShardedCheckpointer {
         }
     }
 
+    /// Whether the path holds a committed checkpoint to resume: a v1 file,
+    /// or a directory with a manifest. A directory without one (a fresh run
+    /// stopped before its first manifest write) holds no committed progress,
+    /// so a caller starts the campaign fresh in it instead.
+    #[must_use]
+    pub fn has_checkpoint(&self) -> bool {
+        self.store.dir.is_file() || self.store.manifest_path().is_file()
+    }
+
     /// Sets the runs-per-shard capacity (default [`DEFAULT_SHARD_RUNS`]).
     /// On resume the capacity comes from the manifest, except for a v1
     /// file, whose successor directory takes this one.

@@ -62,6 +62,8 @@ pub use crate::mapping::ThreadMapping;
 pub use crate::metrics::{EpochRecord, RunMetrics};
 pub use crate::policy::exhaustive::{objective, ExhaustivePolicy};
 pub use crate::policy::hayat::{HayatConfig, HayatPolicy};
+#[doc(hidden)]
+pub use crate::policy::hayat::{HayatReference, SearchPath};
 pub use crate::policy::simple::{CoolestFirstPolicy, FixedDcmPolicy, RandomPolicy};
 pub use crate::policy::vaa::VaaPolicy;
 pub use crate::policy::{
@@ -69,7 +71,7 @@ pub use crate::policy::{
 };
 pub use crate::sim::batch::ChipBatch;
 pub use crate::sim::campaign::{Campaign, CampaignResult, CampaignSummary, PolicyKind};
-pub use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SearchPath, SimulationConfig};
+pub use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SimulationConfig};
 pub use crate::sim::engine::SimulationEngine;
 pub use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, GateSite, InFlightState, ProgressFrame,

@@ -2,7 +2,6 @@
 
 use crate::mapping::ThreadMapping;
 use crate::policy::{Policy, PolicyContext, PolicyScratch};
-use crate::sim::config::SearchPath;
 use hayat_aging::TablePath;
 use hayat_floorplan::{CoreId, TileOverlay};
 use hayat_telemetry::RecorderExt;
@@ -226,6 +225,7 @@ impl HayatPolicy {
         ctx: &PolicyContext<'_>,
         workload: &WorkloadMix,
         n_on: usize,
+        search: SearchPath,
         scratch: &mut PolicyScratch,
     ) {
         let cfg = &self.config;
@@ -277,8 +277,7 @@ impl HayatPolicy {
         // The tiled branch-and-bound relies on the score being monotone
         // non-increasing in the superposed rise — true only for λ ≥ 0, so a
         // (non-paper) negative coefficient falls back to the oracle scan.
-        let tiled =
-            ctx.system.search_path() == SearchPath::Tiled && cfg.lambda_ghz_per_kelvin >= 0.0;
+        let tiled = search == SearchPath::Tiled && cfg.lambda_ghz_per_kelvin >= 0.0;
         let (candidates_evaluated, candidates_pruned, tiles_scanned) = if tiled {
             self.select_dcm_tiled(ctx, n_on, cap, mean_dynamic, preserve_threshold, scratch)
         } else {
@@ -558,6 +557,25 @@ impl HayatPolicy {
 }
 
 impl HayatPolicy {
+    /// The full two-stage decision under the given candidate search and
+    /// table path, against the context's scratch (or a local one).
+    fn decide(
+        &self,
+        ctx: &PolicyContext<'_>,
+        workload: &WorkloadMix,
+        search: SearchPath,
+        table_path: TablePath,
+    ) -> ThreadMapping {
+        match ctx.scratch {
+            Some(cell) => {
+                self.map_threads_with(ctx, workload, search, table_path, &mut cell.borrow_mut())
+            }
+            None => {
+                self.map_threads_with(ctx, workload, search, table_path, &mut PolicyScratch::new())
+            }
+        }
+    }
+
     /// The full two-stage decision against a caller-provided scratch.
     ///
     /// All per-decision state (frequency and leakage snapshots, the sorted
@@ -568,6 +586,8 @@ impl HayatPolicy {
         &self,
         ctx: &PolicyContext<'_>,
         workload: &WorkloadMix,
+        search: SearchPath,
+        table_path: TablePath,
         scratch: &mut PolicyScratch,
     ) -> ThreadMapping {
         let _decision = ctx.recorder.span("policy.hayat.decision");
@@ -576,7 +596,6 @@ impl HayatPolicy {
         let n = fp.core_count();
         let predictor = system.predictor();
         let table = system.aging_table();
-        let table_path = system.table_path();
         let t_safe = system.thermal_config().t_safe;
         let ambient = system.thermal_config().ambient;
         let (alpha, beta) = self.config.coefficients(system.health().mean());
@@ -616,7 +635,7 @@ impl HayatPolicy {
         // Stage 1: the Dark Core Map — exactly one on-core per thread, never
         // more than the budget admits.
         let n_on = workload.total_threads().min(system.budget().max_on());
-        self.select_dcm(ctx, workload, n_on, scratch);
+        self.select_dcm(ctx, workload, n_on, search, scratch);
 
         let mut mapping = scratch.take_mapping(n);
         // Incrementally maintained temperature rise above ambient from all
@@ -648,7 +667,7 @@ impl HayatPolicy {
         // never lets health grow, so `health_next / health_now ≤ 1`). A
         // (non-paper) negative β flips that bound, so it falls back to the
         // oracle scan.
-        let stage2_tiled = system.search_path() == SearchPath::Tiled && beta >= 0.0;
+        let stage2_tiled = search == SearchPath::Tiled && beta >= 0.0;
         let mut candidates_evaluated: u64 = 0;
         let mut candidates_pruned: u64 = 0;
         let mut dcm_swaps: u64 = 0;
@@ -1027,10 +1046,64 @@ impl Policy for HayatPolicy {
     }
 
     fn map_threads(&mut self, ctx: &PolicyContext<'_>, workload: &WorkloadMix) -> ThreadMapping {
-        match ctx.scratch {
-            Some(cell) => self.map_threads_with(ctx, workload, &mut cell.borrow_mut()),
-            None => self.map_threads_with(ctx, workload, &mut PolicyScratch::new()),
+        self.decide(ctx, workload, SearchPath::Tiled, TablePath::Fast)
+    }
+}
+
+/// Which candidate search a Hayat decision runs.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchPath {
+    /// Tiled branch-and-bound candidate index, the production search: the
+    /// die is partitioned into `K×K` tiles with per-tile score bounds, so
+    /// each DCM slot / thread-mapping decision scores only the candidates
+    /// that can still win — sub-quadratic in core count. Falls back to the
+    /// exhaustive scan when a scoring coefficient violates the bound's
+    /// assumptions (negative `λ` or `β`).
+    Tiled,
+    /// Exhaustive all-cores candidate scan — the oracle the tiled index is
+    /// cross-validated against.
+    Exhaustive,
+}
+
+/// The Hayat decision with its oracles selectable: the exhaustive candidate
+/// scans in place of the tiled index and/or the bisection table advance in
+/// place of the direct age-curve inversion.
+///
+/// Both oracles select exactly what the production [`HayatPolicy`] selects;
+/// this reference policy exists so the identity tests and the bench's
+/// speed races can hold them to it. It is not a campaign policy kind, so no
+/// campaign or binary can run it.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq)]
+pub struct HayatReference {
+    /// The coefficients the decision runs with.
+    pub policy: HayatPolicy,
+    /// The candidate search.
+    pub search: SearchPath,
+    /// The health-advance implementation of the Eq. 9 health term.
+    pub table: TablePath,
+}
+
+impl HayatReference {
+    /// The paper-coefficient Hayat decision under `search` and `table`.
+    #[must_use]
+    pub fn new(search: SearchPath, table: TablePath) -> Self {
+        HayatReference {
+            policy: HayatPolicy::default(),
+            search,
+            table,
         }
+    }
+}
+
+impl Policy for HayatReference {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn map_threads(&mut self, ctx: &PolicyContext<'_>, workload: &WorkloadMix) -> ThreadMapping {
+        self.policy.decide(ctx, workload, self.search, self.table)
     }
 }
 
@@ -1203,10 +1276,9 @@ mod tests {
         let expected: u64 = (0..n_on).map(|k| n - k).sum();
         assert_eq!(expected, 904);
 
-        let exhaustive = system.clone().with_search_path(SearchPath::Exhaustive);
         let recorder = hayat_telemetry::MemoryRecorder::new();
-        let mut policy = HayatPolicy::default();
-        policy.map_threads(&ctx(&exhaustive).with_recorder(&recorder), &workload);
+        let mut exhaustive = HayatReference::new(SearchPath::Exhaustive, TablePath::Fast);
+        exhaustive.map_threads(&ctx(&system).with_recorder(&recorder), &workload);
         let summary = recorder.summary();
         assert_eq!(
             summary.counter_total("policy.dcm.candidates_evaluated"),
@@ -1218,9 +1290,9 @@ mod tests {
         );
         assert_eq!(summary.counter_total("policy.dcm.tiles_scanned"), Some(0));
 
-        let tiled = system.with_search_path(SearchPath::Tiled);
         let recorder = hayat_telemetry::MemoryRecorder::new();
-        policy.map_threads(&ctx(&tiled).with_recorder(&recorder), &workload);
+        let mut policy = HayatPolicy::default();
+        policy.map_threads(&ctx(&system).with_recorder(&recorder), &workload);
         let summary = recorder.summary();
         let evaluated = summary
             .counter_total("policy.dcm.candidates_evaluated")
@@ -1246,13 +1318,12 @@ mod tests {
                 .health_mut()
                 .set(hayat_floorplan::CoreId::new(i), Health::new(h));
         }
-        let tiled = system.clone().with_search_path(SearchPath::Tiled);
-        let exhaustive = system.with_search_path(SearchPath::Exhaustive);
         let tiled_rec = hayat_telemetry::MemoryRecorder::new();
         let ex_rec = hayat_telemetry::MemoryRecorder::new();
         let mut policy = HayatPolicy::default();
-        let m_tiled = policy.map_threads(&ctx(&tiled).with_recorder(&tiled_rec), &workload);
-        let m_ex = policy.map_threads(&ctx(&exhaustive).with_recorder(&ex_rec), &workload);
+        let mut exhaustive = HayatReference::new(SearchPath::Exhaustive, TablePath::Fast);
+        let m_tiled = policy.map_threads(&ctx(&system).with_recorder(&tiled_rec), &workload);
+        let m_ex = exhaustive.map_threads(&ctx(&system).with_recorder(&ex_rec), &workload);
         assert_eq!(m_tiled, m_ex);
 
         let ts = tiled_rec.summary();
@@ -1285,13 +1356,12 @@ mod tests {
                 .health_mut()
                 .set(hayat_floorplan::CoreId::new(i), Health::new(h));
         }
-        let fast = system.clone().with_table_path(TablePath::Fast);
-        let oracle = system.with_table_path(TablePath::Oracle);
         let fast_rec = hayat_telemetry::MemoryRecorder::new();
         let oracle_rec = hayat_telemetry::MemoryRecorder::new();
         let mut policy = HayatPolicy::default();
-        let m_fast = policy.map_threads(&ctx(&fast).with_recorder(&fast_rec), &workload);
-        let m_oracle = policy.map_threads(&ctx(&oracle).with_recorder(&oracle_rec), &workload);
+        let mut oracle = HayatReference::new(SearchPath::Tiled, TablePath::Oracle);
+        let m_fast = policy.map_threads(&ctx(&system).with_recorder(&fast_rec), &workload);
+        let m_oracle = oracle.map_threads(&ctx(&system).with_recorder(&oracle_rec), &workload);
         assert_eq!(m_fast, m_oracle);
         // Both paths evaluate the same advances; the oracle pays 67 table
         // lookups per advance where the fast path pays one.
@@ -1308,6 +1378,51 @@ mod tests {
             oracle_lookups,
             fast_lookups * TablePath::Oracle.lookups_per_advance()
         );
+    }
+
+    #[test]
+    fn negative_coefficients_fall_back_to_the_exhaustive_scans() {
+        // The tiled bounds assume λ ≥ 0 (DCM) and β ≥ 0 (stage 2); a negative
+        // coefficient must route that stage through its exhaustive scan and
+        // still yield a feasible mapping within the dark budget.
+        let (mut system, workload) = setup(0.5, 24);
+        for i in 0..system.floorplan().core_count() {
+            let h = 0.90 + 0.002 * (i % 5) as f64;
+            system
+                .health_mut()
+                .set(hayat_floorplan::CoreId::new(i), Health::new(h));
+        }
+        let mut negative_lambda = HayatConfig::paper();
+        negative_lambda.lambda_ghz_per_kelvin = -0.08;
+        let mut negative_beta = HayatConfig::paper();
+        negative_beta.beta_early = -1.0;
+        negative_beta.beta_late = -0.3;
+        for (config, counters) in [
+            (
+                negative_lambda,
+                &["policy.dcm.tiles_scanned", "policy.dcm.candidates_pruned"][..],
+            ),
+            (negative_beta, &["policy.hayat.candidates_pruned"][..]),
+        ] {
+            let recorder = hayat_telemetry::MemoryRecorder::new();
+            let mut policy = HayatPolicy::new(config);
+            let mapping = policy.map_threads(&ctx(&system).with_recorder(&recorder), &workload);
+            let summary = recorder.summary();
+            for counter in counters {
+                assert_eq!(summary.counter_total(counter), Some(0), "{counter}");
+            }
+            let mut exhaustive = HayatReference {
+                policy,
+                search: SearchPath::Exhaustive,
+                table: TablePath::Fast,
+            };
+            assert_eq!(exhaustive.map_threads(&ctx(&system), &workload), mapping);
+            assert!(mapping.active_cores() > 0);
+            assert!(mapping.active_cores() <= system.budget().max_on());
+            for (core, tid) in mapping.assignments() {
+                assert!(system.aged_fmax(core) >= workload.thread(tid).min_frequency());
+            }
+        }
     }
 
     #[test]

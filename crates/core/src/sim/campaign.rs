@@ -5,14 +5,14 @@ use crate::policy::hayat::HayatPolicy;
 use crate::policy::simple::{CoolestFirstPolicy, RandomPolicy};
 use crate::policy::vaa::VaaPolicy;
 use crate::policy::Policy;
-use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SearchPath, SimulationConfig};
+use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SimulationConfig};
 use crate::sim::engine::SimulationEngine;
 use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, ProgressOptions, RunDescriptor, RunUpdate,
 };
 use crate::sim::fleet::FleetAccumulator;
 use crate::system::{BuildSystemError, ChipSystem};
-use hayat_aging::{AgingModel, AgingTable, TablePath};
+use hayat_aging::{AgingModel, AgingTable};
 use hayat_floorplan::Floorplan;
 use hayat_telemetry::{NullRecorder, Recorder};
 use hayat_thermal::ThermalPredictor;
@@ -87,8 +87,6 @@ pub struct Campaign {
     stream: ChipStream,
     predictor: Arc<ThermalPredictor>,
     aging_table: Arc<AgingTable>,
-    table_path: TablePath,
-    search_path: SearchPath,
     batch: Batch,
     schedule: Schedule,
     pinning: Pinning,
@@ -114,8 +112,6 @@ impl Campaign {
             stream,
             predictor,
             aging_table,
-            table_path: TablePath::default(),
-            search_path: SearchPath::default(),
             batch: Batch::serial(),
             schedule: Schedule::default(),
             pinning: Pinning::default(),
@@ -128,42 +124,6 @@ impl Campaign {
         &self.config
     }
 
-    /// Which table-inversion path the policies' decisions use
-    /// ([`TablePath::Fast`] by default).
-    #[must_use]
-    pub const fn table_path(&self) -> TablePath {
-        self.table_path
-    }
-
-    /// Selects the decision-path table inversion for every system the
-    /// campaign builds. Like the worker count, this is an execution knob
-    /// (both paths produce identical mappings — a CI gate holds them to it),
-    /// so it lives outside [`SimulationConfig`] and never enters a
-    /// checkpoint's config hash.
-    #[must_use]
-    pub fn with_table_path(mut self, path: TablePath) -> Self {
-        self.table_path = path;
-        self
-    }
-
-    /// Which candidate-search path the policies' decisions use
-    /// ([`SearchPath::Tiled`] by default).
-    #[must_use]
-    pub const fn search_path(&self) -> SearchPath {
-        self.search_path
-    }
-
-    /// Selects the decision-path candidate search for every system the
-    /// campaign builds. Like `--table-path`, an execution knob (the tiled
-    /// index selects the exact cores the exhaustive scan would — a CI gate
-    /// holds them to it), so it lives outside [`SimulationConfig`] and never
-    /// enters a checkpoint's config hash.
-    #[must_use]
-    pub fn with_search_path(mut self, path: SearchPath) -> Self {
-        self.search_path = path;
-        self
-    }
-
     /// Chips per worker claim ([`Batch::serial`] — one chip — by default).
     #[must_use]
     pub const fn batch(&self) -> Batch {
@@ -172,11 +132,10 @@ impl Campaign {
 
     /// Selects the batched execution width: every worker claim pulls this
     /// many consecutive canonical-order chips and runs them in lockstep
-    /// through the structure-of-arrays epoch loop. Like `--jobs` and
-    /// `--table-path`, a pure execution knob — output is byte-identical to
-    /// `--batch 1` for any width (a CI cmp gate holds it to that), so it
-    /// lives outside [`SimulationConfig`] and never enters a checkpoint's
-    /// config hash.
+    /// through the structure-of-arrays epoch loop. Like `--jobs`, a pure
+    /// execution knob — output is byte-identical to `--batch 1` for any
+    /// width (a CI cmp gate holds it to that), so it lives outside
+    /// [`SimulationConfig`] and never enters a checkpoint's config hash.
     #[must_use]
     pub fn with_batch(mut self, batch: Batch) -> Self {
         self.batch = batch;
@@ -251,8 +210,6 @@ impl Campaign {
             Arc::clone(&self.predictor),
             Arc::clone(&self.aging_table),
         )
-        .with_table_path(self.table_path)
-        .with_search_path(self.search_path)
     }
 
     /// The campaign's run grid in canonical order (policy-major, then chip
@@ -587,6 +544,8 @@ pub struct CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::hayat::{HayatReference, SearchPath};
+    use hayat_aging::TablePath;
 
     fn tiny_campaign() -> Campaign {
         let mut config = SimulationConfig::quick_demo();
@@ -645,28 +604,37 @@ mod tests {
         assert!(s.span("engine.epoch").map_or(0, |sp| sp.count) >= 2);
     }
 
+    /// Re-runs every Hayat chip of the tiny campaign through the reference
+    /// policy under `search` and `table` and requires each run to serialize
+    /// byte-identically to the campaign's own (production-path) run.
+    fn assert_reference_reproduces_hayat_runs(search: SearchPath, table: TablePath) {
+        let c = tiny_campaign();
+        let result = c.run_with_jobs(&[PolicyKind::Hayat], Jobs::serial());
+        assert_eq!(result.runs.len(), c.chip_count());
+        for (chip, run) in result.runs.iter().enumerate() {
+            let reference = HayatReference::new(search, table);
+            let mut engine =
+                SimulationEngine::new(c.system_for(chip), Box::new(reference), c.config());
+            assert_eq!(
+                serde_json::to_string(&engine.run()).unwrap(),
+                serde_json::to_string(run).unwrap(),
+                "chip {chip} drifted"
+            );
+        }
+    }
+
     #[test]
     fn oracle_table_path_reproduces_the_fast_campaign_exactly() {
         // The fast age-curve inversion is an exact inverse of the surface the
-        // oracle bisects, so a full campaign must not change at all.
-        let fast =
-            tiny_campaign().run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        let oracle = tiny_campaign()
-            .with_table_path(TablePath::Oracle)
-            .run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        assert_eq!(fast, oracle);
+        // oracle bisects, so no run may change at all.
+        assert_reference_reproduces_hayat_runs(SearchPath::Tiled, TablePath::Oracle);
     }
 
     #[test]
     fn exhaustive_search_path_reproduces_the_tiled_campaign_exactly() {
-        // The tiled candidate index prunes work, never choices: a full
-        // campaign must not change at all when the oracle scan runs instead.
-        let tiled =
-            tiny_campaign().run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        let exhaustive = tiny_campaign()
-            .with_search_path(SearchPath::Exhaustive)
-            .run_with_jobs(&[PolicyKind::Vaa, PolicyKind::Hayat], Jobs::serial());
-        assert_eq!(tiled, exhaustive);
+        // The tiled candidate index prunes work, never choices: no run may
+        // change at all when the oracle scan runs instead.
+        assert_reference_reproduces_hayat_runs(SearchPath::Exhaustive, TablePath::Fast);
     }
 
     #[test]

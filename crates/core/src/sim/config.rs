@@ -460,60 +460,6 @@ impl std::str::FromStr for Pinning {
     }
 }
 
-/// Which candidate-search strategy the Hayat policy's decision stages use
-/// (the `--search-path` flag).
-///
-/// Like `--table-path`, deliberately *not* a field of [`SimulationConfig`]:
-/// both paths select the exact same DCM and thread mapping (a proptest and a
-/// CI cmp gate hold them to it), so the knob is a pure execution choice and
-/// never enters a checkpoint's config hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SearchPath {
-    /// Tiled branch-and-bound candidate index (the default): the die is
-    /// partitioned into `K×K` tiles with per-tile score upper bounds, so
-    /// each DCM slot / thread-mapping decision scans only tile
-    /// representatives plus the interiors that can still win — sub-quadratic
-    /// in core count. Falls back to the exhaustive scan when a scoring
-    /// coefficient violates the bound's assumptions (negative `λ` or `β`).
-    #[default]
-    Tiled,
-    /// Exhaustive all-cores candidate scan — the oracle the tiled index is
-    /// cross-validated against.
-    Exhaustive,
-}
-
-impl SearchPath {
-    /// Short lowercase name (`tiled` / `exhaustive`), as the flag spells it.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            SearchPath::Tiled => "tiled",
-            SearchPath::Exhaustive => "exhaustive",
-        }
-    }
-}
-
-impl std::fmt::Display for SearchPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for SearchPath {
-    type Err = String;
-
-    /// Parses the `--search-path` flag: `tiled` or `exhaustive`.
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text.to_ascii_lowercase().as_str() {
-            "tiled" => Ok(SearchPath::Tiled),
-            "exhaustive" => Ok(SearchPath::Exhaustive),
-            other => Err(format!(
-                "--search-path wants 'tiled' or 'exhaustive', got '{other}'"
-            )),
-        }
-    }
-}
-
 impl Jobs {
     /// The worker count requested through the `HAYAT_JOBS` environment
     /// variable, the default ([`Jobs::auto`]) when unset or empty.
@@ -662,18 +608,5 @@ mod tests {
         assert!("numa".parse::<Pinning>().is_err());
         assert_eq!(Pinning::default(), Pinning::None);
         assert_eq!(format!("{}", Pinning::Cores), "cores");
-    }
-
-    #[test]
-    fn search_path_parses_and_displays() {
-        assert_eq!("tiled".parse::<SearchPath>(), Ok(SearchPath::Tiled));
-        assert_eq!(
-            "EXHAUSTIVE".parse::<SearchPath>(),
-            Ok(SearchPath::Exhaustive)
-        );
-        assert!("quadtree".parse::<SearchPath>().is_err());
-        assert_eq!(SearchPath::default(), SearchPath::Tiled);
-        assert_eq!(format!("{}", SearchPath::Exhaustive), "exhaustive");
-        assert_eq!(SearchPath::Tiled.name(), "tiled");
     }
 }

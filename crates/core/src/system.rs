@@ -1,7 +1,7 @@
 //! The per-chip system state the run-time policies and the engine operate on.
 
-use crate::sim::config::{SearchPath, SimulationConfig};
-use hayat_aging::{AgingModel, AgingTable, HealthMap, TablePath};
+use crate::sim::config::SimulationConfig;
+use hayat_aging::{AgingModel, AgingTable, HealthMap};
 use hayat_floorplan::{CoreId, Floorplan};
 use hayat_power::{DarkSiliconBudget, PowerModel};
 use hayat_thermal::{ThermalConfig, ThermalPredictor, TransientSimulator};
@@ -87,8 +87,6 @@ pub struct ChipSystem {
     budget: DarkSiliconBudget,
     health: HealthMap,
     transient: TransientSimulator,
-    table_path: TablePath,
-    search_path: SearchPath,
 }
 
 impl ChipSystem {
@@ -153,59 +151,7 @@ impl ChipSystem {
             budget,
             health,
             transient,
-            table_path: TablePath::default(),
-            search_path: SearchPath::default(),
         }
-    }
-
-    /// Which aging-table evaluation path the *policies* use for candidate
-    /// health estimates (the engine's end-of-epoch upscale always uses the
-    /// oracle, so results files stay canonical whatever this is set to).
-    ///
-    /// Lives on the system rather than [`SimulationConfig`] for the same
-    /// reason as the worker count: it must never change simulation results,
-    /// so it must not enter the checkpoint config hash, which fingerprints
-    /// only physics.
-    #[must_use]
-    pub const fn table_path(&self) -> TablePath {
-        self.table_path
-    }
-
-    /// Sets the policies' aging-table evaluation path.
-    pub fn set_table_path(&mut self, path: TablePath) {
-        self.table_path = path;
-    }
-
-    /// Builder-style [`ChipSystem::set_table_path`].
-    #[must_use]
-    pub fn with_table_path(mut self, path: TablePath) -> Self {
-        self.table_path = path;
-        self
-    }
-
-    /// Which candidate-search strategy the policies' decision stages use
-    /// ([`SearchPath::Tiled`] by default, with the exhaustive scan retained
-    /// as the oracle).
-    ///
-    /// Lives on the system rather than [`SimulationConfig`] for the same
-    /// reason as the table path: it must never change simulation results,
-    /// so it must not enter the checkpoint config hash, which fingerprints
-    /// only physics.
-    #[must_use]
-    pub const fn search_path(&self) -> SearchPath {
-        self.search_path
-    }
-
-    /// Sets the policies' candidate-search strategy.
-    pub fn set_search_path(&mut self, path: SearchPath) {
-        self.search_path = path;
-    }
-
-    /// Builder-style [`ChipSystem::set_search_path`].
-    #[must_use]
-    pub fn with_search_path(mut self, path: SearchPath) -> Self {
-        self.search_path = path;
-        self
     }
 
     /// The chip geometry.
@@ -449,31 +395,6 @@ mod tests {
         for (a, b) in buf.iter().zip(&all) {
             assert_eq!(*a, b.value(), "snapshot must be bit-identical");
         }
-    }
-
-    #[test]
-    fn table_path_defaults_to_fast_and_toggles() {
-        use hayat_aging::TablePath;
-        let mut s = system();
-        assert_eq!(s.table_path(), TablePath::Fast);
-        s.set_table_path(TablePath::Oracle);
-        assert_eq!(s.table_path(), TablePath::Oracle);
-        let s2 = system().with_table_path(TablePath::Oracle);
-        assert_eq!(s2.table_path(), TablePath::Oracle);
-        // The toggle survives the clone the sensor path takes per epoch.
-        assert_eq!(s2.clone().table_path(), TablePath::Oracle);
-    }
-
-    #[test]
-    fn search_path_defaults_to_tiled_and_toggles() {
-        let mut s = system();
-        assert_eq!(s.search_path(), SearchPath::Tiled);
-        s.set_search_path(SearchPath::Exhaustive);
-        assert_eq!(s.search_path(), SearchPath::Exhaustive);
-        let s2 = system().with_search_path(SearchPath::Exhaustive);
-        assert_eq!(s2.search_path(), SearchPath::Exhaustive);
-        // The toggle survives the clone the sensor path takes per epoch.
-        assert_eq!(s2.clone().search_path(), SearchPath::Exhaustive);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! repeated crash/resume cycles.
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{Batch, Campaign, Jobs, Schedule, SearchPath, SimulationConfig, SimulationEngine};
+use hayat::{Batch, Campaign, Jobs, Schedule, SimulationConfig, SimulationEngine};
 use hayat_checkpoint::{
     CheckpointError, FailMode, FailPoint, ShardTail, ShardedCheckpointer, FAILPOINT_CHIP,
     FAILPOINT_EPOCH,
@@ -296,7 +296,7 @@ fn completed_checkpoint_resumes_instantly_without_rerunning() {
 /// oracle. The checkpoint is a v1 single-file checkpoint holding a
 /// half-finished decade campaign (both VAA runs durable, Hayat chip 0 in
 /// flight); the reference is the full uninterrupted campaign's `--json`
-/// export at `--jobs 1`. Resuming that file with today's default fast path
+/// export at `--jobs 1`. Resuming that file on today's fast decision path
 /// must complete the campaign and reproduce the pre-refactor export byte
 /// for byte, without writing the file: progress goes to `<file>.shards/`.
 #[test]
@@ -319,52 +319,40 @@ fn pre_refactor_fixture_resumes_byte_identical_on_the_fast_path() {
         (path, shards)
     };
 
-    // Resume under both search paths: the tiled candidate index (today's
-    // default) and the exhaustive scan the fixture era actually ran. The
-    // search path is a runtime knob outside the checkpoint hash, so both
-    // must complete the half-finished campaign and reproduce the
-    // oracle-era export byte for byte.
-    for (name, path_kind) in [
-        ("tiled", SearchPath::Tiled),
-        ("exhaustive", SearchPath::Exhaustive),
-    ] {
-        let (path, shards) = v1_copy(&format!("pre_pr5_fixture_{name}"));
-        let campaign = Campaign::new(config.clone())
-            .unwrap()
-            .with_search_path(path_kind);
+    let (path, shards) = v1_copy("pre_pr5_fixture");
+    let campaign = Campaign::new(config.clone()).unwrap();
 
-        let result = ShardedCheckpointer::new(&path)
-            .jobs(Jobs::serial())
-            .resume(&campaign)
-            .expect("the committed fixture must stay resumable");
+    let result = ShardedCheckpointer::new(&path)
+        .jobs(Jobs::serial())
+        .resume(&campaign)
+        .expect("the committed fixture must stay resumable");
 
-        let json = serde_json::to_string_pretty(&result).unwrap();
-        assert_eq!(
-            json.trim_end(),
-            reference.trim_end(),
-            "the {name} decision path changed the campaign the oracle-era code produced"
-        );
-        assert!(
-            std::fs::read(&path).unwrap() == fixture,
-            "resume must never write the v1 file"
-        );
+    let json = serde_json::to_string_pretty(&result).unwrap();
+    assert_eq!(
+        json.trim_end(),
+        reference.trim_end(),
+        "the decision path changed the campaign the oracle-era code produced"
+    );
+    assert!(
+        std::fs::read(&path).unwrap() == fixture,
+        "resume must never write the v1 file"
+    );
 
-        // A second resume of the same path continues from `<file>.shards/`,
-        // where the finished campaign is durable, and re-runs nothing.
-        let recorder = Arc::new(MemoryRecorder::new());
-        let again = ShardedCheckpointer::new(&path)
-            .jobs(Jobs::serial())
-            .with_recorder(recorder.clone())
-            .resume(&campaign)
-            .unwrap();
-        assert_eq!(again, result);
-        let summary = recorder.summary();
-        assert_eq!(summary.counter_total("campaign.runs_skipped"), Some(4));
-        assert_eq!(summary.counter_total("campaign.runs_completed"), None);
-        assert!(std::fs::read(&path).unwrap() == fixture);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_dir_all(&shards).ok();
-    }
+    // A second resume of the same path continues from `<file>.shards/`,
+    // where the finished campaign is durable, and re-runs nothing.
+    let recorder = Arc::new(MemoryRecorder::new());
+    let again = ShardedCheckpointer::new(&path)
+        .jobs(Jobs::serial())
+        .with_recorder(recorder.clone())
+        .resume(&campaign)
+        .unwrap();
+    assert_eq!(again, result);
+    let summary = recorder.summary();
+    assert_eq!(summary.counter_total("campaign.runs_skipped"), Some(4));
+    assert_eq!(summary.counter_total("campaign.runs_completed"), None);
+    assert!(std::fs::read(&path).unwrap() == fixture);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&shards).ok();
 
     // A v1 file is fingerprinted like a checkpoint directory: a campaign
     // built from another config is refused before anything is written.

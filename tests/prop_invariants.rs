@@ -3,10 +3,10 @@
 //! thermal sanity under arbitrary (bounded) inputs.
 
 use hayat::{
-    ChipSystem, DarkCoreMap, HayatPolicy, SearchPath, SimulationConfig, SimulationEngine,
-    ThreadMapping,
+    ChipSystem, DarkCoreMap, HayatPolicy, HayatReference, Policy, SearchPath, SimulationConfig,
+    SimulationEngine, ThreadMapping,
 };
-use hayat_aging::{AgingModel, AgingTable, Health, TableAxes};
+use hayat_aging::{AgingModel, AgingTable, Health, TableAxes, TablePath};
 use hayat_floorplan::{CoreId, Floorplan, FloorplanBuilder};
 use hayat_thermal::{steady_state, Integrator, ThermalConfig};
 use hayat_units::{DutyCycle, Kelvin, Watts, Years};
@@ -208,11 +208,11 @@ proptest! {
 }
 
 // The tiled-search contract: the tiled candidate index is a pure pruning
-// overlay over the exhaustive mapping scan, so two engines differing only
-// in search path must produce bit-identical runs — every decision, every
-// temperature, every health trajectory — across random meshes, chips,
-// dark fractions, and workload seeds. Few cases: each one simulates two
-// full multi-epoch runs.
+// overlay over the exhaustive mapping scan, so the production Hayat policy
+// and the reference policy running the exhaustive scan must produce
+// bit-identical runs — every decision, every temperature, every health
+// trajectory — across random meshes, chips, dark fractions, and workload
+// seeds. Few cases: each one simulates two full multi-epoch runs.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -231,13 +231,15 @@ proptest! {
         // quick_demo's population is 2 chips; widen it so every sampled
         // chip index picks a distinct variation map.
         config.chip_count = 32;
-        let run = |path| {
-            let system = ChipSystem::paper_chip(chip, &config)
-                .expect("chip builds")
-                .with_search_path(path);
-            SimulationEngine::new(system, Box::new(HayatPolicy::default()), &config).run()
+        let run = |policy: Box<dyn Policy>| {
+            let system = ChipSystem::paper_chip(chip, &config).expect("chip builds");
+            SimulationEngine::new(system, policy, &config).run()
         };
-        prop_assert_eq!(run(SearchPath::Tiled), run(SearchPath::Exhaustive));
+        let exhaustive = HayatReference::new(SearchPath::Exhaustive, TablePath::Fast);
+        prop_assert_eq!(
+            run(Box::<HayatPolicy>::default()),
+            run(Box::new(exhaustive))
+        );
     }
 }
 
