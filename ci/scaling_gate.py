@@ -6,20 +6,17 @@ Usage:
     python3 ci/scaling_gate.py BENCH_9.json --smoke    # structure + booleans only
 
 Both modes print a readable table of the campaign-scaling sweep, the
-scheduler (static vs work-stealing) sweep, and the large-floorplan sweep
-(tiled candidate index vs exhaustive scan per mesh size), then check the
-report's self-asserted boolean gates (determinism across jobs,
-determinism across schedules, the decision-path advance gate, the
+scheduler sweep (the shared claim cursor on a skewed-cost campaign), and
+the large-floorplan sweep (tiled candidate index vs exhaustive scan per
+mesh size), then check the report's self-asserted boolean gates
+(determinism across jobs, the decision-path advance gate, the
 observability overhead gate, the batched-kernel gates, and the tiled
 decision-search gate — at least 5x over the exhaustive scan at 32x32).
 
-Gate mode additionally enforces the timing thresholds on a multi-core
-host: jobs-4 speedup >= 2.5x for both schedules, steal within 5% of
-static on the skewed workload (parity is the honest expectation — the
-shared static cursor is already greedy-optimal at claim granularity),
-and at least one successful steal recorded at 4 jobs. When the report
-says the sweep was skipped (host too narrow), the timing gates are
-skipped with an explicit log line instead of failing.
+Gate mode additionally enforces the timing threshold on a multi-core
+host: the skewed workload's jobs-4 speedup >= 2.5x. When the report says
+the sweep was skipped (host too narrow), the timing gate is skipped with
+an explicit log line instead of failing.
 """
 
 import json
@@ -80,27 +77,19 @@ def main():
     print(f"scheduler: {sched['config']}")
     print(f"  skew: {sched['skew']}")
     if sched["points"]:
-        print(
-            f"  {'jobs':>4}  {'static (s)':>10}  {'steal (s)':>10}"
-            f"  {'steal/static':>12}"
-        )
+        print(f"  {'jobs':>4}  {'wall (s)':>10}  {'speedup':>8}")
         for p in sched["points"]:
             print(
-                f"  {p['jobs']:>4}  {p['static_wall_seconds']:>10.3f}"
-                f"  {p['steal_wall_seconds']:>10.3f}"
-                f"  {p['steal_vs_static']:>11.2f}x"
+                f"  {p['jobs']:>4}  {p['wall_seconds']:>10.3f}"
+                f"  {p['speedup_vs_serial']:>7.2f}x"
             )
     else:
         print(f"  (sweep skipped: {sched.get('sweep_skipped')})")
-    for u in sched.get("utilization", []):
-        print(
-            f"  busy fraction [{u['schedule']:>6} jobs={u['jobs']}]:"
-            f" min {u['min_busy_fraction']:.2f}"
-            f" max {u['max_busy_fraction']:.2f}"
-        )
+    u = sched["utilization"]
     print(
-        f"  steals at 4 jobs: {sched['steals_at_4_jobs']}"
-        f" (+{sched['steal_fails_at_4_jobs']} empty probes)"
+        f"  busy fraction [jobs={u['jobs']}]:"
+        f" min {u['min_busy_fraction']:.2f}"
+        f" max {u['max_busy_fraction']:.2f}"
     )
     b8 = batched.get("speedup_at_batch_8")
     b64 = batched.get("speedup_at_batch_64")
@@ -128,10 +117,6 @@ def main():
     check(
         scaling.get("deterministic_across_jobs") is True,
         "campaign export byte-identical across --jobs",
-    )
-    check(
-        sched.get("deterministic_across_schedules") is True,
-        "campaign export byte-identical across --schedule static|steal",
     )
     check(
         decision.get("advance_gate_ok") is True,
@@ -180,26 +165,10 @@ def main():
         print("scaling-gate: boolean gates passed — PASS")
         return
 
-    static4 = sched.get("static_speedup_at_4_jobs")
-    steal4 = sched.get("steal_speedup_at_4_jobs")
+    speedup4 = sched.get("speedup_at_4_jobs")
     check(
-        isinstance(static4, (int, float)) and static4 >= 2.5,
-        f"static schedule speedup at 4 jobs >= 2.5x (got {static4:.2f}x)",
-    )
-    check(
-        isinstance(steal4, (int, float)) and steal4 >= 2.5,
-        f"steal schedule speedup at 4 jobs >= 2.5x (got {steal4:.2f}x)",
-    )
-    p4 = next((p for p in sched["points"] if p["jobs"] == 4), None)
-    check(p4 is not None, "scheduler sweep includes a jobs=4 point")
-    check(
-        p4["steal_vs_static"] >= 0.95,
-        "steal within 5% of static on the skewed workload"
-        f" (got {p4['steal_vs_static']:.2f}x)",
-    )
-    check(
-        sched.get("steals_at_4_jobs", 0) >= 1,
-        f"work stealing engaged at 4 jobs ({sched['steals_at_4_jobs']} steals)",
+        isinstance(speedup4, (int, float)) and speedup4 >= 2.5,
+        f"skewed-workload speedup at 4 jobs >= 2.5x (got {speedup4:.2f}x)",
     )
     print("scaling-gate: all gates passed — PASS")
 

@@ -1,40 +1,21 @@
-//! Perf-trajectory benchmark: emits `BENCH_9.json` at the repo root with
-//! wall-times for the three kernels that bound the decade-scale evaluation
-//! — a **transient window** (2 s of 6.6 ms control periods on the bare
-//! thermal simulator), a **single epoch**, and a **single-chip decade**
-//! (the end-to-end campaign unit: 10 years, 40 epochs, one chip, the Hayat
-//! policy) — each under both time integrators, plus a **campaign scaling**
-//! section measuring the parallel executor at `--jobs 1/2/4`, plus a
-//! **decision path** section gating the table-advance micro — the direct
-//! age-curve inversion every decision uses against the bisection oracle
-//! it replaced — at 5x, plus an **observability** section gating the
-//! streaming fleet-sketch aggregator's overhead at under 2% of campaign
-//! wall time, plus a
+//! Perf-trajectory benchmark: emits `BENCH_9.json` at the repo root with a
+//! **campaign scaling** section measuring the parallel executor at
+//! `--jobs 1/2/4`, plus a **scheduler** section timing the shared claim
+//! cursor at `--jobs 1/2/4` on a skewed-cost campaign (every fourth chip
+//! busy-spins 9x longer in the run gate) and recording per-worker
+//! busy-time utilization, plus a **decision path** section gating the
+//! table-advance micro — the direct age-curve inversion every decision
+//! uses against the bisection oracle it replaced — at 5x, plus an
+//! **observability** section gating the streaming fleet-sketch
+//! aggregator's overhead at under 2% of campaign wall time, plus a
 //! **batched kernels** section driving 64 chips through the lockstep
 //! [`ChipBatch`] data path at widths 1/8/64 and gating the per-chip
 //! decision+thermal throughput gain at batch 64 at 1.5x or better, plus a
-//! **scheduler** section racing the static shared-cursor schedule against
-//! the work-stealing one at `--jobs 1/2/4` on a skewed-cost campaign
-//! (every fourth chip busy-spins 9x longer in the run gate), checking
-//! byte-identity of the two schedules' output before timing anything and
-//! recording steal counters plus per-worker busy-time utilization, plus a
 //! **large floorplan** section sweeping the mesh through 8×8 / 16×16 /
 //! 32×32 (and 64×64 under `--full`) and racing the tiled candidate index
 //! against the exhaustive scan on one aged-chip Hayat decision per size,
 //! with a hard tiled-at-least-5x gate at 32×32 and the per-chip epoch
 //! wall time recorded alongside.
-//!
-//! Two thermal configurations are measured:
-//!
-//! * `paper` — the calibrated constants every figure uses. Its silicon
-//!   capacitance (0.008 J/K) is lumped large enough that explicit forward
-//!   Euler needs only ~4 sub-steps per control period, so the implicit
-//!   win is the sub-step count divided by one (slightly dearer) solve.
-//! * `stiff_silicon` — identical except `c_silicon` is set to the
-//!   *physical* sheet capacitance of a 2.25 mm² × 0.15 mm die slice
-//!   (≈ 5.9e-4 J/K). Thin silicon is the stiff regime the implicit
-//!   integrator exists for: the explicit stable step collapses to ~150 µs
-//!   (~43 sub-steps per period) while backward Euler still takes one solve.
 //!
 //! Usage:
 //!
@@ -61,14 +42,11 @@
 use hayat::{
     Campaign, ChipBatch, ChipSystem, ExecutorOptions, FleetAccumulator, GateSite, HayatPolicy,
     HayatReference, Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics,
-    RunUpdate, Schedule, SearchPath, SimulationConfig, SimulationEngine,
+    RunUpdate, SearchPath, SimulationConfig, SimulationEngine,
 };
 use hayat_aging::{AgeCurveScratch, TablePath};
-use hayat_floorplan::Floorplan;
 use hayat_telemetry::{MemoryRecorder, NullRecorder, Recorder};
-use hayat_thermal::{
-    BatchLane, BatchedTransient, Integrator, RcNetwork, ThermalConfig, TransientSimulator,
-};
+use hayat_thermal::{BatchLane, BatchedTransient, TransientSimulator};
 use hayat_units::{DutyCycle, Kelvin, Seconds, Watts, Years};
 use hayat_workload::WorkloadMix;
 use serde::Serialize;
@@ -80,51 +58,6 @@ use std::time::{Duration, Instant};
 const CONTROL_PERIOD: f64 = 0.0066;
 /// Paper transient window length, seconds (=> 303 control periods).
 const WINDOW_SECONDS: f64 = 2.0;
-
-/// Physical silicon sheet capacitance of one core: volumetric heat capacity
-/// 1.75e6 J/(K·m³) × 1.5 mm × 1.5 mm die area × 0.15 mm thickness.
-const C_SILICON_PHYSICAL: f64 = 5.9e-4;
-
-#[derive(Serialize)]
-struct Kernel {
-    forward_euler_seconds: f64,
-    backward_euler_seconds: f64,
-    /// `forward / backward`: how much the implicit integrator saves.
-    speedup: f64,
-}
-
-impl Kernel {
-    fn new(forward: f64, backward: f64) -> Self {
-        Kernel {
-            forward_euler_seconds: forward,
-            backward_euler_seconds: backward,
-            speedup: forward / backward,
-        }
-    }
-}
-
-#[derive(Serialize)]
-struct ConfigReport {
-    name: String,
-    c_silicon_joules_per_kelvin: f64,
-    explicit_stable_step_seconds: f64,
-    explicit_substeps_per_control_period: f64,
-    transient_window: Kernel,
-    single_epoch: Kernel,
-    single_chip_decade: Kernel,
-}
-
-#[derive(Serialize)]
-struct Headline {
-    /// The transient-window speedup in the stiff regime the implicit
-    /// integrator targets.
-    transient_window_speedup: f64,
-    config: String,
-    /// End-to-end campaign unit (one chip, full decade, Hayat policy).
-    end_to_end_campaign_forward_seconds: f64,
-    end_to_end_campaign_backward_seconds: f64,
-    campaign_speedup: f64,
-}
 
 #[derive(Serialize)]
 struct ScalingPoint {
@@ -156,22 +89,10 @@ struct CampaignScaling {
     speedup_at_4_jobs: Option<f64>,
 }
 
-/// One jobs point of the scheduler race: the same skewed campaign under
-/// the static shared-cursor schedule and the work-stealing schedule.
-#[derive(Serialize)]
-struct SchedulerPoint {
-    jobs: usize,
-    static_wall_seconds: f64,
-    steal_wall_seconds: f64,
-    /// `static / steal` — 1.0 means parity, above 1.0 means steal won.
-    steal_vs_static: f64,
-}
-
-/// Per-worker busy-time spread for one schedule at the sweep's widest
-/// jobs point, from the `campaign.worker_busy_seconds` gauge.
+/// Per-worker busy-time spread at the scheduler sweep's widest jobs
+/// point, from the `campaign.worker_busy_seconds` gauge.
 #[derive(Serialize)]
 struct WorkerUtilization {
-    schedule: String,
     jobs: usize,
     wall_seconds: f64,
     /// Least-loaded worker's busy time over pool wall time.
@@ -180,46 +101,29 @@ struct WorkerUtilization {
     max_busy_fraction: f64,
 }
 
-/// The static-vs-steal schedule race on a skewed-cost campaign.
-///
-/// The honest expectation is **parity**, not a steal win: the static
-/// schedule's shared cursor is already a greedy pull at claim granularity,
-/// which is near-optimal when every worker draws from one queue. What the
-/// section demonstrates is that stealing (a) rebalances the block
-/// partition it starts from — the steal counters prove work actually
-/// moved — and (b) costs nothing over static while doing so. The
-/// `ci/scaling_gate.py` gate holds steal within 5% of static and requires
-/// the jobs-4 speedup floor on multi-core runners.
+/// The shared claim cursor on a skewed-cost campaign. Workers pull the
+/// next unstarted claim with one `fetch_add`, a greedy pull at claim
+/// granularity, so a heavy claim never strands light ones behind it. The
+/// `ci/scaling_gate.py` gate requires the jobs-4 speedup floor on
+/// multi-core runners.
 #[derive(Serialize)]
 struct SchedulerSection {
-    /// What the race runs: a fixed small campaign with gate-injected skew.
+    /// What the sweep runs: a fixed small campaign with gate-injected skew.
     config: String,
     chips: usize,
     /// How run cost is skewed across chips (via the executor's run gate).
     skew: String,
     host_parallelism: usize,
-    /// Byte-level equality of the steal-schedule and static-schedule
-    /// campaign JSON at 4 jobs, checked before timing — the same property
-    /// the CI determinism gate enforces across schedules.
-    deterministic_across_schedules: bool,
-    /// `campaign.steals` under the steal schedule at the widest jobs
-    /// point: claims that actually moved between worker deques.
-    steals_at_4_jobs: u64,
-    /// `campaign.steal_fails` — empty victims probed while scanning.
-    steal_fails_at_4_jobs: u64,
     /// `Some(reason)` when the timing sweep was skipped (single-CPU host;
-    /// mirrors the campaign-scaling section). The determinism check and
-    /// steal counters above still run — they are correctness properties.
+    /// mirrors the campaign-scaling section).
     sweep_skipped: Option<String>,
-    points: Vec<SchedulerPoint>,
-    /// Static-schedule jobs-1 wall over jobs-4 wall; `None` when skipped.
-    static_speedup_at_4_jobs: Option<f64>,
-    /// Steal-schedule jobs-1 wall over jobs-4 wall; `None` when skipped.
-    steal_speedup_at_4_jobs: Option<f64>,
-    /// Busy-time spread per schedule at 4 jobs (recorded even when the
-    /// timing sweep is skipped; on a single-CPU host the fractions reflect
-    /// timesharing, not placement).
-    utilization: Vec<WorkerUtilization>,
+    points: Vec<ScalingPoint>,
+    /// Jobs-1 wall over jobs-4 wall; `None` when skipped.
+    speedup_at_4_jobs: Option<f64>,
+    /// Busy-time spread at 4 jobs (recorded even when the timing sweep is
+    /// skipped; on a single-CPU host the fractions reflect timesharing, not
+    /// placement).
+    utilization: WorkerUtilization,
 }
 
 /// The gated table-advance micro: the direct age-curve inversion every
@@ -362,14 +266,12 @@ struct Bench9 {
     mode: String,
     control_period_seconds: f64,
     window_steps: usize,
-    configs: Vec<ConfigReport>,
     campaign_scaling: CampaignScaling,
     scheduler: SchedulerSection,
     decision_path: DecisionPath,
     observability: Observability,
     batched_kernels: BatchedKernels,
     large_floorplan: LargeFloorplan,
-    headline: Headline,
 }
 
 /// Best-of-`reps` wall time of `f`, after one warm-up call.
@@ -398,34 +300,6 @@ fn window_power(cores: usize) -> Vec<Watts> {
         .collect()
 }
 
-/// One transient window on the bare simulator: construction (factorization)
-/// plus every control-period step with a peak-temperature readout, exactly
-/// the per-window work the engine performs.
-fn transient_window_seconds(thermal: &ThermalConfig, integrator: Integrator, reps: u32) -> f64 {
-    let fp = Floorplan::paper_8x8();
-    let steps = (WINDOW_SECONDS / CONTROL_PERIOD).round() as usize;
-    let power = window_power(fp.core_count());
-    time_best(
-        || {
-            let mut sim = TransientSimulator::with_integrator(&fp, thermal, integrator);
-            for _ in 0..steps {
-                sim.step(Seconds::new(CONTROL_PERIOD), &power);
-                std::hint::black_box(sim.temperatures().max());
-            }
-        },
-        reps,
-    )
-}
-
-/// The paper campaign configuration with the given thermal constants and
-/// integrator.
-fn campaign_config(thermal: &ThermalConfig, integrator: Integrator) -> SimulationConfig {
-    let mut config = SimulationConfig::paper(0.5);
-    config.thermal = thermal.clone();
-    config.integrator = integrator;
-    config
-}
-
 /// One aging epoch (policy decision + transient window + health update) on a
 /// prebuilt chip; engine construction is cheap and re-done per rep so every
 /// rep starts from fresh health.
@@ -438,80 +312,6 @@ fn single_epoch_seconds(system: &ChipSystem, config: &SimulationConfig, reps: u3
         },
         reps,
     )
-}
-
-/// The full 10-year, 40-epoch single-chip run — the unit the 25-chip ×
-/// 2-policy × 2-dark-fraction campaign repeats 100 times.
-fn single_chip_decade_seconds(system: &ChipSystem, config: &SimulationConfig, reps: u32) -> f64 {
-    time_best(
-        || {
-            let mut engine =
-                SimulationEngine::new(system.clone(), Box::new(HayatPolicy::default()), config);
-            std::hint::black_box(engine.run().final_health_mean());
-        },
-        reps,
-    )
-}
-
-fn report_config(name: &str, thermal: &ThermalConfig, fast: bool) -> ConfigReport {
-    let fp = Floorplan::paper_8x8();
-    let stable = RcNetwork::new(&fp, thermal).stable_step();
-    let (window_reps, epoch_reps, decade_reps) = if fast { (5, 2, 1) } else { (20, 5, 3) };
-
-    let window = Kernel::new(
-        transient_window_seconds(thermal, Integrator::ForwardEuler, window_reps),
-        transient_window_seconds(thermal, Integrator::BackwardEuler, window_reps),
-    );
-
-    // The population, predictor, and aging table are shared setup in a real
-    // campaign, so build them outside the timed kernels. The integrator is
-    // baked into the system's transient simulator at build time, so each
-    // integrator gets its own system.
-    let fwd_config = campaign_config(thermal, Integrator::ForwardEuler);
-    let bwd_config = campaign_config(thermal, Integrator::BackwardEuler);
-    let fwd_system = ChipSystem::paper_chip(0, &fwd_config).expect("paper chip builds");
-    let bwd_system = ChipSystem::paper_chip(0, &bwd_config).expect("paper chip builds");
-
-    let epoch = Kernel::new(
-        single_epoch_seconds(&fwd_system, &fwd_config, epoch_reps),
-        single_epoch_seconds(&bwd_system, &bwd_config, epoch_reps),
-    );
-    let decade = Kernel::new(
-        single_chip_decade_seconds(&fwd_system, &fwd_config, decade_reps),
-        single_chip_decade_seconds(&bwd_system, &bwd_config, decade_reps),
-    );
-
-    println!(
-        "  {name}: stable step {:.3e} s ({:.0} substeps/period)",
-        stable,
-        (CONTROL_PERIOD / stable).ceil()
-    );
-    println!(
-        "    window {:9.3} ms -> {:9.3} ms  ({:.2}x)",
-        window.forward_euler_seconds * 1e3,
-        window.backward_euler_seconds * 1e3,
-        window.speedup
-    );
-    println!(
-        "    epoch  {:9.3} ms -> {:9.3} ms  ({:.2}x)",
-        epoch.forward_euler_seconds * 1e3,
-        epoch.backward_euler_seconds * 1e3,
-        epoch.speedup
-    );
-    println!(
-        "    decade {:9.3} s  -> {:9.3} s   ({:.2}x)",
-        decade.forward_euler_seconds, decade.backward_euler_seconds, decade.speedup
-    );
-
-    ConfigReport {
-        name: name.to_owned(),
-        c_silicon_joules_per_kelvin: thermal.c_silicon,
-        explicit_stable_step_seconds: stable,
-        explicit_substeps_per_control_period: (CONTROL_PERIOD / stable).ceil(),
-        transient_window: window,
-        single_epoch: epoch,
-        single_chip_decade: decade,
-    }
 }
 
 /// The fixed campaign the scaling sweep runs: 8 independent chips × the
@@ -901,9 +701,9 @@ fn spin_for(duration: Duration) {
     }
 }
 
-/// Per-chip skew weight: every fourth chip is a 9x-cost outlier, so every
-/// worker's initial block partition holds exactly one heavy claim except
-/// the last, whose light block drains first and forces real steals.
+/// Per-chip skew weight: every fourth chip is a 9x-cost outlier, so a
+/// schedule that fixed each worker's share up front would leave some
+/// workers idle while others finish their heavy claims.
 fn sched_skew_weight(chip: usize) -> u32 {
     if chip.is_multiple_of(4) {
         9
@@ -912,13 +712,12 @@ fn sched_skew_weight(chip: usize) -> u32 {
     }
 }
 
-/// Runs the skewed campaign under one schedule and returns the canonical
-/// per-run metrics (the byte-comparable campaign output).
+/// Runs the skewed campaign and returns the canonical per-run metrics (the
+/// byte-comparable campaign output).
 fn run_skewed(
     campaign: &Campaign,
     descriptors: &[RunDescriptor],
     jobs: Jobs,
-    schedule: Schedule,
     recorder: &Arc<dyn Recorder>,
 ) -> Vec<RunMetrics> {
     let gate = |site: GateSite, run: &RunDescriptor| -> Result<(), hayat::DynError> {
@@ -934,7 +733,6 @@ fn run_skewed(
             None,
             &ExecutorOptions {
                 jobs,
-                schedule,
                 gate: Some(&gate),
                 ..ExecutorOptions::default()
             },
@@ -952,8 +750,8 @@ fn run_skewed(
         .collect()
 }
 
-/// Races the static schedule against work stealing on the skewed campaign,
-/// after checking the two schedules' output is byte-identical.
+/// Times the shared claim cursor at `jobs ∈ {1, 2, 4}` on the skewed
+/// campaign and records the per-worker busy-time spread at 4 jobs.
 fn scheduler_section(fast: bool) -> SchedulerSection {
     let mut config = SimulationConfig::quick_demo();
     config.chip_count = 12;
@@ -967,123 +765,72 @@ fn scheduler_section(fast: bool) -> SchedulerSection {
     let null: Arc<dyn Recorder> = Arc::new(NullRecorder);
     let four = Jobs::new(4).expect("4 is positive");
 
-    let static_runs = run_skewed(&campaign, &descriptors, four, Schedule::Static, &null);
-    let steal_runs = run_skewed(&campaign, &descriptors, four, Schedule::Steal, &null);
-    let deterministic = serde_json::to_string(&static_runs).expect("serializable")
-        == serde_json::to_string(&steal_runs).expect("serializable");
-    assert!(
-        deterministic,
-        "steal-schedule campaign diverged from static — the schedule leaked into results"
-    );
-
-    // Steal counters and busy-time spread at the widest jobs point, one
-    // instrumented run per schedule.
-    let mut utilization = Vec::new();
-    let mut steals_at_4_jobs = 0;
-    let mut steal_fails_at_4_jobs = 0;
-    for schedule in [Schedule::Static, Schedule::Steal] {
-        let memory = Arc::new(MemoryRecorder::new());
-        let recorder: Arc<dyn Recorder> = memory.clone();
-        let t0 = Instant::now();
-        std::hint::black_box(run_skewed(
-            &campaign,
-            &descriptors,
-            four,
-            schedule,
-            &recorder,
-        ));
-        let wall = t0.elapsed().as_secs_f64();
-        let summary = memory.summary();
-        if schedule == Schedule::Steal {
-            steals_at_4_jobs = summary.counter_total("campaign.steals").unwrap_or(0);
-            steal_fails_at_4_jobs = summary.counter_total("campaign.steal_fails").unwrap_or(0);
-        }
-        let (min_busy, max_busy) = summary
-            .gauge("campaign.worker_busy_seconds")
-            .map_or((0.0, 0.0), |g| (g.min, g.max));
-        utilization.push(WorkerUtilization {
-            schedule: schedule.to_string(),
-            jobs: four.get(),
-            wall_seconds: wall,
-            min_busy_fraction: min_busy / wall,
-            max_busy_fraction: max_busy / wall,
-        });
-    }
+    // Busy-time spread at the widest jobs point, from one instrumented run.
+    let memory = Arc::new(MemoryRecorder::new());
+    let recorder: Arc<dyn Recorder> = memory.clone();
+    let t0 = Instant::now();
+    std::hint::black_box(run_skewed(&campaign, &descriptors, four, &recorder));
+    let wall = t0.elapsed().as_secs_f64();
+    let (min_busy, max_busy) = memory
+        .summary()
+        .gauge("campaign.worker_busy_seconds")
+        .map_or((0.0, 0.0), |g| (g.min, g.max));
+    let utilization = WorkerUtilization {
+        jobs: four.get(),
+        wall_seconds: wall,
+        min_busy_fraction: min_busy / wall,
+        max_busy_fraction: max_busy / wall,
+    };
 
     let sweep_skipped = (host_parallelism == 1).then(|| {
-        "host parallelism is 1: every schedule point would be a flat host artifact, \
+        "host parallelism is 1: every jobs point would be a flat host artifact, \
          not a scheduler property"
             .to_owned()
     });
     let mut points = Vec::new();
-    let mut static_speedup_at_4_jobs = None;
-    let mut steal_speedup_at_4_jobs = None;
+    let mut speedup_at_4_jobs = None;
     if sweep_skipped.is_none() {
         let reps = if fast { 2 } else { 5 };
         for jobs in [1usize, 2, 4] {
             let jobs_v = Jobs::new(jobs).expect("positive");
-            let static_wall = time_best(
+            let wall = time_best(
                 || {
-                    std::hint::black_box(run_skewed(
-                        &campaign,
-                        &descriptors,
-                        jobs_v,
-                        Schedule::Static,
-                        &null,
-                    ));
+                    std::hint::black_box(run_skewed(&campaign, &descriptors, jobs_v, &null));
                 },
                 reps,
             );
-            let steal_wall = time_best(
-                || {
-                    std::hint::black_box(run_skewed(
-                        &campaign,
-                        &descriptors,
-                        jobs_v,
-                        Schedule::Steal,
-                        &null,
-                    ));
-                },
-                reps,
-            );
-            points.push(SchedulerPoint {
+            points.push(ScalingPoint {
                 jobs,
-                static_wall_seconds: static_wall,
-                steal_wall_seconds: steal_wall,
-                steal_vs_static: static_wall / steal_wall,
+                wall_seconds: wall,
+                speedup_vs_serial: 0.0, // filled below once the serial point is known
             });
         }
-        static_speedup_at_4_jobs =
-            Some(points[0].static_wall_seconds / points[2].static_wall_seconds);
-        steal_speedup_at_4_jobs = Some(points[0].steal_wall_seconds / points[2].steal_wall_seconds);
+        let serial_wall = points[0].wall_seconds;
+        for p in &mut points {
+            p.speedup_vs_serial = serial_wall / p.wall_seconds;
+        }
+        speedup_at_4_jobs = Some(points[2].speedup_vs_serial);
     }
 
     println!(
         "  scheduler ({} chips x Hayat, every 4th chip 9x cost, host parallelism {}):",
         config.chip_count, host_parallelism
     );
-    println!(
-        "    schedules byte-identical at 4 jobs; {steals_at_4_jobs} steals, \
-         {steal_fails_at_4_jobs} empty probes"
-    );
     if let Some(reason) = &sweep_skipped {
-        println!("    schedule sweep skipped: {reason}");
+        println!("    jobs sweep skipped: {reason}");
     }
     for p in &points {
         println!(
-            "    jobs {}: static {:7.3} s, steal {:7.3} s  (steal/static {:.2}x)",
-            p.jobs, p.static_wall_seconds, p.steal_wall_seconds, p.steal_vs_static
+            "    jobs {}: {:7.3} s  ({:.2}x vs serial)",
+            p.jobs, p.wall_seconds, p.speedup_vs_serial
         );
     }
-    for u in &utilization {
-        println!(
-            "    busy spread at {} jobs ({}): {:.0}%..{:.0}% of wall",
-            u.jobs,
-            u.schedule,
-            u.min_busy_fraction * 100.0,
-            u.max_busy_fraction * 100.0
-        );
-    }
+    println!(
+        "    busy spread at {} jobs: {:.0}%..{:.0}% of wall",
+        utilization.jobs,
+        utilization.min_busy_fraction * 100.0,
+        utilization.max_busy_fraction * 100.0
+    );
 
     SchedulerSection {
         config: "quick_demo, 12 chips x Hayat, 1 quarter-year epoch, 0.1 s transient window"
@@ -1095,13 +842,9 @@ fn scheduler_section(fast: bool) -> SchedulerSection {
             9, SCHED_SPIN
         ),
         host_parallelism,
-        deterministic_across_schedules: deterministic,
-        steals_at_4_jobs,
-        steal_fails_at_4_jobs,
         sweep_skipped,
         points,
-        static_speedup_at_4_jobs,
-        steal_speedup_at_4_jobs,
+        speedup_at_4_jobs,
         utilization,
     }
 }
@@ -1400,15 +1143,6 @@ fn main() {
         if fast { "fast" } else { "full" }
     ));
 
-    let paper = ThermalConfig::paper();
-    let mut stiff = ThermalConfig::paper();
-    stiff.c_silicon = C_SILICON_PHYSICAL;
-
-    let configs = vec![
-        report_config("paper", &paper, fast),
-        report_config("stiff_silicon", &stiff, fast),
-    ];
-
     let scaling = campaign_scaling(fast, jobs);
     let scheduler = scheduler_section(fast);
     let decision = decision_path(fast);
@@ -1416,34 +1150,17 @@ fn main() {
     let batched = batched_kernels(fast);
     let floorplans = large_floorplan(!fast);
 
-    let stiff_report = &configs[1];
-    let headline = Headline {
-        transient_window_speedup: stiff_report.transient_window.speedup,
-        config: stiff_report.name.clone(),
-        end_to_end_campaign_forward_seconds: stiff_report.single_chip_decade.forward_euler_seconds,
-        end_to_end_campaign_backward_seconds: stiff_report
-            .single_chip_decade
-            .backward_euler_seconds,
-        campaign_speedup: stiff_report.single_chip_decade.speedup,
-    };
-    println!(
-        "\n  headline: {:.2}x transient window, {:.2}x campaign ({})",
-        headline.transient_window_speedup, headline.campaign_speedup, headline.config
-    );
-
     let report = Bench9 {
         bench: "BENCH_9".to_owned(),
         mode: if fast { "fast" } else { "full" }.to_owned(),
         control_period_seconds: CONTROL_PERIOD,
         window_steps: (WINDOW_SECONDS / CONTROL_PERIOD).round() as usize,
-        configs,
         campaign_scaling: scaling,
         scheduler,
         decision_path: decision,
         observability,
         batched_kernels: batched,
         large_floorplan: floorplans,
-        headline,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("write benchmark report");

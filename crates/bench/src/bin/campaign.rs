@@ -8,8 +8,8 @@
 //!     --csv results/custom --json results/custom.json
 //! ```
 //!
-//! Defaults reproduce the paper campaign at 50% dark. Unknown flags abort
-//! with usage.
+//! Defaults reproduce the paper campaign at 50% dark. An unknown flag exits
+//! 2 with one line of text; `--help` prints the usage.
 //!
 //! Long campaigns can run crash-safe: `--checkpoint DIR` persists progress
 //! atomically (every `--every EPOCHS` epochs, default 8, plus every chip-run
@@ -39,8 +39,8 @@ use std::time::Duration;
 
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
-    Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, Pinning, ProgressOptions,
-    RunMetrics, Schedule, SimulationConfig,
+    Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, ProgressOptions, RunMetrics,
+    SimulationConfig,
 };
 use hayat_checkpoint::{CheckpointError, FailPoint, ShardedCheckpointer};
 use hayat_runfmt::RunFileWriter;
@@ -67,8 +67,6 @@ struct Args {
     resume_path: Option<String>,
     jobs: Jobs,
     batch: Batch,
-    schedule: Schedule,
-    pin: Pinning,
     fleet: Option<usize>,
     run_format_path: Option<String>,
     export_json_path: Option<String>,
@@ -82,7 +80,6 @@ fn usage() -> ! {
         "usage: campaign [--dark F] [--chips N] [--years Y] [--epoch Y] \
          [--window S] [--seed N] [--mesh N] [--floorplan RxC] \
          [--jobs N|auto] [--batch N] \
-         [--schedule static|steal] [--pin none|cores] \
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
          [--progress SECS] [--progress-jsonl FILE.jsonl] \
@@ -99,13 +96,9 @@ fn usage() -> ! {
          \n\
          --jobs sets the worker-thread count (default: all hardware \
          threads); output is byte-identical for every value, including 1. \
-         --schedule selects how workers claim work: one shared cursor \
-         (static, default) or per-worker deques with work stealing (steal, \
-         better under skewed per-run cost); --pin pins worker W to core \
-         W mod cores. Both are pure execution knobs — output is \
-         byte-identical for every combination. The HAYAT_JOBS, \
-         HAYAT_SCHEDULE, and HAYAT_PIN environment variables set the \
-         defaults; the flags override them. \
+         Workers claim work from one shared cursor in canonical order. \
+         The HAYAT_JOBS environment variable sets the default; the flag \
+         overrides it. \
          --batch runs N consecutive chips in lockstep per worker claim \
          through the batched SoA thermal/policy kernels (default 1); like \
          --jobs it is a pure execution knob — output is byte-identical for \
@@ -205,8 +198,6 @@ fn parse_args() -> Args {
         resume_path: None,
         jobs: or_exit(Jobs::from_env),
         batch: Batch::serial(),
-        schedule: or_exit(Schedule::from_env),
-        pin: or_exit(Pinning::from_env),
         fleet: None,
         run_format_path: None,
         export_json_path: None,
@@ -259,18 +250,6 @@ fn parse_args() -> Args {
                     usage()
                 });
             }
-            "--schedule" => {
-                args.schedule = value("--schedule").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--pin" => {
-                args.pin = value("--pin").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
             "--fleet" => args.fleet = Some(value("--fleet").parse().unwrap_or_else(|_| usage())),
             "--run-format" => args.run_format_path = Some(value("--run-format")),
             "--export-json" => args.export_json_path = Some(value("--export-json")),
@@ -285,8 +264,8 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => usage(),
             other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
+                eprintln!("unknown flag {other:?} (--help lists the flags)");
+                std::process::exit(2)
             }
         }
     }
@@ -376,8 +355,6 @@ fn checkpointer(
 ) -> ShardedCheckpointer {
     let mut runner = ShardedCheckpointer::new(path)
         .jobs(args.jobs)
-        .schedule(args.schedule)
-        .pinning(args.pin)
         .with_failpoint(or_exit(FailPoint::from_env));
     if let Some(runs) = args.shard_runs {
         runner = runner.shard_runs(runs);
@@ -612,9 +589,7 @@ fn main() {
 
     let campaign = Campaign::new(config)
         .expect("configuration is valid")
-        .with_batch(args.batch)
-        .with_schedule(args.schedule)
-        .with_pinning(args.pin);
+        .with_batch(args.batch);
     if let Some((kind, chip)) = args.replay {
         replay_run(&campaign, kind, chip);
         return;
@@ -623,7 +598,7 @@ fn main() {
     let config = campaign.config();
     println!(
         "campaign: {}x{} mesh, {} chips{}, {:.0}% dark, {} years in {}-year epochs, \
-         policies {:?}, {} jobs, batch {}, schedule {}, pin {}",
+         policies {:?}, {} jobs, batch {}",
         config.mesh.0,
         config.mesh.1,
         config.chip_count,
@@ -637,9 +612,7 @@ fn main() {
         config.epoch_years,
         args.policies,
         args.jobs,
-        args.batch,
-        args.schedule,
-        args.pin
+        args.batch
     );
     let recorder = args
         .telemetry_path

@@ -16,13 +16,11 @@
 //! 25 chips with 3-month epochs and takes several minutes).
 //!
 //! `--jobs N|auto` (default `auto` = available parallelism) runs the
-//! campaign grid on N worker threads; output is byte-identical for any N.
-//! `--schedule static|steal` selects how workers claim work, `--pin
-//! none|cores` pins workers to cores, and `--batch N` runs N consecutive
-//! chips in lockstep per worker claim through the batched SoA kernels —
-//! all pure execution knobs with byte-identical output. The `HAYAT_JOBS`,
-//! `HAYAT_SCHEDULE`, and `HAYAT_PIN` environment variables set the
-//! defaults; flags override.
+//! campaign grid on N worker threads, which claim work from one shared
+//! cursor; `--batch N` runs N consecutive chips in lockstep per worker claim
+//! through the batched SoA kernels. Both are pure execution knobs with
+//! byte-identical output. The `HAYAT_JOBS` environment variable sets the
+//! `--jobs` default; the flag overrides it.
 //!
 //! `--floorplan RxC` swaps the paper's 8×8 die for an R-row × C-column
 //! mesh (e.g. `32x32`) to exercise the large-floorplan decision path.
@@ -47,9 +45,7 @@
 use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{
-    Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, Pinning, Schedule, SimulationConfig,
-};
+use hayat::{Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, SimulationConfig};
 use hayat_bench::{bar_row, parse_every, section};
 use hayat_checkpoint::{FailPoint, ShardedCheckpointer};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
@@ -63,8 +59,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--resume",
     "--every",
     "--jobs",
-    "--schedule",
-    "--pin",
     "--batch",
     "--floorplan",
 ];
@@ -146,24 +140,6 @@ fn main() {
             || Jobs::from_env().unwrap_or_else(|e| exit_on_err(e)),
             |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
         );
-    // Scheduler knobs: flags override the HAYAT_SCHEDULE / HAYAT_PIN
-    // env defaults. Pure execution knobs — output is byte-identical.
-    let schedule = args
-        .iter()
-        .position(|a| a == "--schedule")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || Schedule::from_env().unwrap_or_else(|e| exit_on_err(e)),
-            |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
-        );
-    let pin = args
-        .iter()
-        .position(|a| a == "--pin")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || Pinning::from_env().unwrap_or_else(|e| exit_on_err(e)),
-            |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
-        );
     // Batched lockstep execution (parity with the campaign driver): a pure
     // execution knob, byte-identical output for every width.
     let batch = args
@@ -206,8 +182,6 @@ fn main() {
         }
         let campaign = Campaign::new(config)
             .expect("paper configuration is valid")
-            .with_schedule(schedule)
-            .with_pinning(pin)
             .with_batch(batch);
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
         let fleet = fleet_stem
@@ -218,8 +192,6 @@ fn main() {
             let path = format!("{stem}.dark{}", (dark * 100.0) as u32);
             let mut runner = ShardedCheckpointer::new(&path)
                 .jobs(jobs)
-                .schedule(schedule)
-                .pinning(pin)
                 .with_failpoint(Arc::clone(&failpoint));
             if let Some(every) = every {
                 runner = runner.every(every);

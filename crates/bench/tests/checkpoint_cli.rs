@@ -217,13 +217,20 @@ fn retired_flags() -> [String; 2] {
     ["table", "search"].map(|knob| format!("--{knob}-path"))
 }
 
+/// The two retired scheduler flags with the values they used to take:
+/// work stealing and core pinning.
+const RETIRED_SCHEDULER_FLAGS: [[&str; 2]; 2] = [["--schedule", "steal"], ["--pin", "cores"]];
+
 #[test]
 fn fig7_10_refuses_unknown_and_retired_flags_in_one_line() {
     let [table, search] = retired_flags();
-    let cases: [&[&str]; 4] = [
+    let [[schedule, steal], [pin, cores]] = RETIRED_SCHEDULER_FLAGS;
+    let cases: [&[&str]; 6] = [
         &["--quick", "--bogus-flag", "7"],
         &["--quick", search.as_str(), "exhaustive"],
         &["--quick", table.as_str(), "oracle"],
+        &["--quick", schedule, steal],
+        &["--quick", pin, cores],
         &["--quick", "--jobs"],
     ];
     for args in cases {
@@ -249,13 +256,14 @@ fn fig7_10_refuses_a_missing_json_directory_before_running() {
 
 #[test]
 fn campaign_refuses_the_retired_oracle_flags() {
-    for flag in retired_flags() {
+    let oracle_flags = retired_flags().map(|flag| [flag, "fast".to_owned()]);
+    let scheduler_flags = RETIRED_SCHEDULER_FLAGS.map(|pair| pair.map(str::to_owned));
+    for args in oracle_flags.iter().chain(&scheduler_flags) {
         let out = campaign_cmd()
-            .args([flag.as_str(), "fast"])
+            .args(args)
             .output()
             .expect("run campaign binary");
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        assert!(String::from_utf8_lossy(&out.stderr).contains(&flag));
-        assert!(String::from_utf8_lossy(&out.stdout).is_empty());
+        assert_refused(&out, &args[0]);
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{args:?}");
     }
 }

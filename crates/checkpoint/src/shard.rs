@@ -47,7 +47,7 @@ use crate::failpoint::FailPoint;
 use crate::runner::{DEFAULT_EVERY_EPOCHS, FAILPOINT_CHIP, FAILPOINT_EPOCH};
 use hayat::{
     Campaign, CampaignResult, DynError, ExecutorOptions, FleetAccumulator, GateSite, InFlightState,
-    Jobs, Pinning, PolicyKind, ProgressOptions, RunDescriptor, RunMetrics, RunUpdate, Schedule,
+    Jobs, PolicyKind, ProgressOptions, RunDescriptor, RunMetrics, RunUpdate,
 };
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt};
 use serde::{Deserialize, Serialize};
@@ -260,8 +260,6 @@ pub struct ShardedCheckpointer {
     shard_runs: usize,
     every_epochs: Option<usize>,
     jobs: Jobs,
-    schedule: Schedule,
-    pinning: Pinning,
     recorder: Arc<dyn Recorder>,
     failpoint: Arc<FailPoint>,
     fleet: Option<Arc<Mutex<FleetAccumulator>>>,
@@ -282,8 +280,6 @@ impl ShardedCheckpointer {
             shard_runs: DEFAULT_SHARD_RUNS,
             every_epochs: None,
             jobs: Jobs::auto(),
-            schedule: Schedule::default(),
-            pinning: Pinning::default(),
             recorder: Arc::new(NullRecorder),
             failpoint: Arc::new(FailPoint::disarmed()),
             fleet: None,
@@ -319,22 +315,6 @@ impl ShardedCheckpointer {
     #[must_use]
     pub const fn jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the worker schedule (default: [`Schedule::Static`]). Outside
-    /// the config hash: a checkpoint resumes under any schedule.
-    #[must_use]
-    pub const fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Sets worker core pinning (default: [`Pinning::None`]); a placement
-    /// hint only.
-    #[must_use]
-    pub const fn pinning(mut self, pinning: Pinning) -> Self {
-        self.pinning = pinning;
         self
     }
 
@@ -588,8 +568,6 @@ impl ShardedCheckpointer {
         };
         let options = ExecutorOptions {
             jobs: self.jobs,
-            schedule: self.schedule,
-            pinning: self.pinning,
             snapshot_every: Some(manifest.every_epochs.max(1)),
             gate: Some(&gate),
             progress: self.progress.clone(),

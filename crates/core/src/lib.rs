@@ -71,7 +71,7 @@ pub use crate::policy::{
 };
 pub use crate::sim::batch::ChipBatch;
 pub use crate::sim::campaign::{Campaign, CampaignResult, CampaignSummary, PolicyKind};
-pub use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SimulationConfig};
+pub use crate::sim::config::{Batch, Jobs, SimulationConfig};
 pub use crate::sim::engine::SimulationEngine;
 pub use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, GateSite, InFlightState, ProgressFrame,

@@ -5,7 +5,7 @@ use crate::policy::hayat::HayatPolicy;
 use crate::policy::simple::{CoolestFirstPolicy, RandomPolicy};
 use crate::policy::vaa::VaaPolicy;
 use crate::policy::Policy;
-use crate::sim::config::{Batch, Jobs, Pinning, Schedule, SimulationConfig};
+use crate::sim::config::{Batch, Jobs, SimulationConfig};
 use crate::sim::engine::SimulationEngine;
 use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, ProgressOptions, RunDescriptor, RunUpdate,
@@ -88,8 +88,6 @@ pub struct Campaign {
     predictor: Arc<ThermalPredictor>,
     aging_table: Arc<AgingTable>,
     batch: Batch,
-    schedule: Schedule,
-    pinning: Pinning,
 }
 
 impl Campaign {
@@ -113,8 +111,6 @@ impl Campaign {
             predictor,
             aging_table,
             batch: Batch::serial(),
-            schedule: Schedule::default(),
-            pinning: Pinning::default(),
         })
     }
 
@@ -139,38 +135,6 @@ impl Campaign {
     #[must_use]
     pub fn with_batch(mut self, batch: Batch) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// How workers claim campaign work ([`Schedule::Static`] by default).
-    #[must_use]
-    pub const fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// Selects the worker schedule for every execution this campaign drives
-    /// (the `--schedule` flag). Like `--jobs` and `--batch`, a pure
-    /// execution knob: every schedule feeds the same canonical-order merge,
-    /// so output is byte-identical across schedules and the knob never
-    /// enters a checkpoint's config hash.
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Whether workers are pinned to cores ([`Pinning::None`] by default).
-    #[must_use]
-    pub const fn pinning(&self) -> Pinning {
-        self.pinning
-    }
-
-    /// Selects worker core pinning (the `--pin` flag). A placement hint
-    /// only — it can never influence results, and degrades to a no-op where
-    /// affinity is unavailable.
-    #[must_use]
-    pub fn with_pinning(mut self, pinning: Pinning) -> Self {
-        self.pinning = pinning;
         self
     }
 
@@ -297,8 +261,6 @@ impl Campaign {
         let mut runs: Vec<Option<RunMetrics>> = (0..descriptors.len()).map(|_| None).collect();
         let options = ExecutorOptions {
             jobs,
-            schedule: self.schedule,
-            pinning: self.pinning,
             progress,
             ..ExecutorOptions::default()
         };
@@ -354,8 +316,6 @@ impl Campaign {
         let descriptors = self.grid(policies);
         let options = ExecutorOptions {
             jobs,
-            schedule: self.schedule,
-            pinning: self.pinning,
             progress,
             ..ExecutorOptions::default()
         };

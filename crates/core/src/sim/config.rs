@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use hayat_aging::TableAxes;
-use hayat_power::PowerConfig;
+use hayat_power::{DarkSiliconBudget, PowerConfig};
 use hayat_thermal::{Integrator, ThermalConfig};
 use hayat_units::{Seconds, Years};
 use hayat_variation::VariationParams;
@@ -199,14 +199,20 @@ impl SimulationConfig {
             "control period must be positive"
         );
         assert!(
-            (0.0..1.0).contains(&self.dark_fraction),
-            "dark fraction must lie in [0, 1)"
-        );
-        assert!(self.chip_count > 0, "need at least one chip");
-        assert!(
             self.mesh.0 > 0 && self.mesh.1 > 0,
             "mesh must have at least one row and one column"
         );
+        assert!(
+            (0.0..1.0).contains(&self.dark_fraction),
+            "dark fraction must lie in [0, 1)"
+        );
+        let (rows, cols) = self.mesh;
+        assert!(
+            DarkSiliconBudget::new(rows * cols, self.dark_fraction).max_on() > 0,
+            "dark fraction {} leaves no core on a {rows}x{cols} mesh",
+            self.dark_fraction
+        );
+        assert!(self.chip_count > 0, "need at least one chip");
         assert!(self.mix_rotation > 0, "need at least one workload mix");
         let (lo, hi) = self.mix_load_range;
         assert!(
@@ -343,123 +349,6 @@ impl std::str::FromStr for Batch {
     }
 }
 
-/// How workers claim campaign work (the `--schedule` flag).
-///
-/// Like [`Jobs`] and [`Batch`], deliberately *not* a field of
-/// [`SimulationConfig`]: the schedule is a pure execution knob. Results from
-/// any schedule flow through the same canonical-order merge, so campaign
-/// output is byte-identical across schedules and a checkpointed run started
-/// under one schedule resumes under another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Schedule {
-    /// Workers pull the next claim from one shared atomic cursor. Lowest
-    /// coordination overhead when claims are cheap and uniform.
-    #[default]
-    Static,
-    /// Work stealing: claims are block-partitioned into per-worker deques
-    /// up front; a worker that drains its own deque steals the tail half of
-    /// a randomly chosen victim's. Avoids the shared hot cursor and keeps
-    /// workers busy under skewed per-run costs.
-    Steal,
-}
-
-impl Schedule {
-    /// The schedule requested through the `HAYAT_SCHEDULE` environment
-    /// variable, the default ([`Schedule::Static`]) when unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse message when the variable is set to something other
-    /// than `static` or `steal`.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("HAYAT_SCHEDULE") {
-            Ok(text) if !text.trim().is_empty() => text
-                .trim()
-                .parse()
-                .map_err(|e| format!("HAYAT_SCHEDULE: {e}")),
-            _ => Ok(Schedule::default()),
-        }
-    }
-}
-
-impl std::fmt::Display for Schedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Schedule::Static => "static",
-            Schedule::Steal => "steal",
-        })
-    }
-}
-
-impl std::str::FromStr for Schedule {
-    type Err = String;
-
-    /// Parses the `--schedule` flag: `static` or `steal`.
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text.to_ascii_lowercase().as_str() {
-            "static" => Ok(Schedule::Static),
-            "steal" => Ok(Schedule::Steal),
-            other => Err(format!(
-                "--schedule wants 'static' or 'steal', got '{other}'"
-            )),
-        }
-    }
-}
-
-/// Whether campaign workers are pinned to hardware cores (the `--pin` flag).
-///
-/// A scheduling hint only — pinning can never influence results. On hosts
-/// where affinity cannot be queried or set, [`Pinning::Cores`] degrades to a
-/// no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Pinning {
-    /// Let the OS place worker threads freely.
-    #[default]
-    None,
-    /// Pin worker `w` to available core `w mod cores`, round-robin.
-    Cores,
-}
-
-impl Pinning {
-    /// The pinning requested through the `HAYAT_PIN` environment variable,
-    /// the default ([`Pinning::None`]) when unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse message when the variable is set to something other
-    /// than `none` or `cores`.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("HAYAT_PIN") {
-            Ok(text) if !text.trim().is_empty() => {
-                text.trim().parse().map_err(|e| format!("HAYAT_PIN: {e}"))
-            }
-            _ => Ok(Pinning::default()),
-        }
-    }
-}
-
-impl std::fmt::Display for Pinning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Pinning::None => "none",
-            Pinning::Cores => "cores",
-        })
-    }
-}
-
-impl std::str::FromStr for Pinning {
-    type Err = String;
-
-    /// Parses the `--pin` flag: `none` or `cores`.
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text.to_ascii_lowercase().as_str() {
-            "none" => Ok(Pinning::None),
-            "cores" => Ok(Pinning::Cores),
-            other => Err(format!("--pin wants 'none' or 'cores', got '{other}'")),
-        }
-    }
-}
-
 impl Jobs {
     /// The worker count requested through the `HAYAT_JOBS` environment
     /// variable, the default ([`Jobs::auto`]) when unset or empty.
@@ -570,6 +459,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "leaves no core on a 1x1 mesh")]
+    fn single_core_mesh_at_the_default_dark_fraction_panics() {
+        let mut c = SimulationConfig::paper(0.5);
+        c.mesh = (1, 1);
+        c.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves no core on a 2x2 mesh")]
+    fn dark_budget_that_darkens_every_core_panics() {
+        SimulationConfig {
+            mesh: (2, 2),
+            ..SimulationConfig::paper(0.8)
+        }
+        .assert_valid();
+    }
+
+    #[test]
     #[should_panic(expected = "transient window")]
     fn window_shorter_than_control_period_panics() {
         let mut c = SimulationConfig::paper(0.5);
@@ -589,24 +496,5 @@ mod tests {
         assert!("many".parse::<Jobs>().is_err());
         assert_eq!(Jobs::new(0), None);
         assert_eq!(format!("{}", Jobs::new(3).unwrap()), "3");
-    }
-
-    #[test]
-    fn schedule_parses_and_displays() {
-        assert_eq!("static".parse::<Schedule>(), Ok(Schedule::Static));
-        assert_eq!("steal".parse::<Schedule>(), Ok(Schedule::Steal));
-        assert_eq!("STEAL".parse::<Schedule>(), Ok(Schedule::Steal));
-        assert!("dynamic".parse::<Schedule>().is_err());
-        assert_eq!(Schedule::default(), Schedule::Static);
-        assert_eq!(format!("{}", Schedule::Steal), "steal");
-    }
-
-    #[test]
-    fn pinning_parses_and_displays() {
-        assert_eq!("none".parse::<Pinning>(), Ok(Pinning::None));
-        assert_eq!("cores".parse::<Pinning>(), Ok(Pinning::Cores));
-        assert!("numa".parse::<Pinning>().is_err());
-        assert_eq!(Pinning::default(), Pinning::None);
-        assert_eq!(format!("{}", Pinning::Cores), "cores");
     }
 }

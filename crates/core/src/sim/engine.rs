@@ -574,6 +574,7 @@ mod tests {
     use super::*;
     use crate::policy::hayat::HayatPolicy;
     use crate::policy::vaa::VaaPolicy;
+    use hayat_thermal::Integrator;
 
     fn engine(policy: Box<dyn Policy>) -> SimulationEngine {
         let config = SimulationConfig::quick_demo();
@@ -618,11 +619,25 @@ mod tests {
 
     #[test]
     fn temperatures_stay_physical() {
-        let mut e = engine(Box::<HayatPolicy>::default());
-        let m = e.run();
-        for rec in &m.epochs {
-            assert!(rec.avg_temp_kelvin > 300.0 && rec.avg_temp_kelvin < 400.0);
-            assert!(rec.peak_temp_kelvin >= rec.avg_temp_kelvin);
+        // Both integrators run a whole campaign unit end to end.
+        for integrator in [Integrator::BackwardEuler, Integrator::ForwardEuler] {
+            let config = SimulationConfig {
+                integrator,
+                ..SimulationConfig::quick_demo()
+            };
+            let system = ChipSystem::paper_chip(0, &config).unwrap();
+            let mut e = SimulationEngine::new(system, Box::<HayatPolicy>::default(), &config);
+            let m = e.run();
+            for rec in &m.epochs {
+                assert!(
+                    rec.avg_temp_kelvin > 300.0 && rec.avg_temp_kelvin < 400.0,
+                    "{integrator:?}"
+                );
+                assert!(
+                    rec.peak_temp_kelvin >= rec.avg_temp_kelvin,
+                    "{integrator:?}"
+                );
+            }
         }
     }
 

@@ -6,13 +6,10 @@
 //! 2 policies × 2 dark budgets) parallelizes perfectly. This module supplies
 //! the one shared engine for that fan-out:
 //!
-//! * **Work queue** — two selectable schedules ([`Schedule`]). *Static*:
-//!   workers pull batch-granular claims from a shared [`AtomicUsize`]
-//!   cursor. *Steal*: claims are block-partitioned into per-worker deques and
-//!   an idle worker steals the tail half of a randomly chosen victim's deque
-//!   (victim order seeded deterministically per worker). Either way no claim
-//!   is ever run twice, and with [`Pinning::Cores`] each worker is pinned to
-//!   a hardware core round-robin.
+//! * **Work queue** — workers pull batch-granular claims from one shared
+//!   [`AtomicUsize`] cursor; `fetch_add` hands claims out in canonical order,
+//!   so no claim is ever run twice and an idle worker always takes the next
+//!   unstarted one.
 //! * **Owner-thread merge** — workers publish [`RunUpdate`]s over a channel
 //!   to the *calling* thread, which owns the single mutable sink (the
 //!   in-memory result vector, or the [`ShardedCheckpointer`] in
@@ -39,14 +36,13 @@ use crate::sim::engine::SimulationEngine;
 use crate::sim::snapshot::EngineSnapshot;
 use hayat_telemetry::{BufferRecorder, NullRecorder, Recorder, RecorderExt, SpanContext};
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-pub use crate::sim::config::{Jobs, Pinning, Schedule};
+pub use crate::sim::config::Jobs;
 
 /// Boxed error type accepted from gates and sinks; the executor carries it
 /// through unchanged so callers can downcast their own error types back out.
@@ -209,14 +205,6 @@ impl std::fmt::Debug for ProgressOptions {
 pub struct ExecutorOptions<'a> {
     /// Worker-thread count (capped at the number of descriptors).
     pub jobs: Jobs,
-    /// How workers claim work: a shared static cursor or per-worker deques
-    /// with work stealing. Never influences results — every schedule feeds
-    /// the same canonical-order merge.
-    pub schedule: Schedule,
-    /// Whether workers are pinned to hardware cores (round-robin). A
-    /// placement hint only; degrades to a no-op where affinity is
-    /// unavailable.
-    pub pinning: Pinning,
     /// Emit a [`RunUpdate::Progress`] snapshot every this many epochs
     /// (never after the final epoch — completion sends
     /// [`RunUpdate::Completed`] instead). `None` disables snapshots.
@@ -311,178 +299,6 @@ impl FailureSlot {
     }
 }
 
-/// The shared work queue behind [`Campaign::execute`], in one of the two
-/// [`Schedule`] shapes. Claims are batch-granular: claim `c` covers the
-/// consecutive canonical-order descriptors `c*batch .. (c+1)*batch`, so both
-/// schedules partition the grid identically and the downstream merge cannot
-/// tell them apart.
-enum WorkQueue {
-    /// One shared cursor; `fetch_add` hands out claims in canonical order.
-    Static { cursor: AtomicUsize, claims: usize },
-    /// Per-worker deques with steal-half-from-the-tail balancing.
-    Steal(StealQueues),
-}
-
-impl WorkQueue {
-    fn new(schedule: Schedule, claims: usize, workers: usize) -> Self {
-        match schedule {
-            Schedule::Static => WorkQueue::Static {
-                cursor: AtomicUsize::new(0),
-                claims,
-            },
-            Schedule::Steal => WorkQueue::Steal(StealQueues::new(claims, workers)),
-        }
-    }
-
-    /// The next claim for `worker`, or `None` when the campaign has no more
-    /// work (or `stop` was raised while waiting on in-transit steals).
-    fn next_claim(
-        &self,
-        worker: usize,
-        rng: &mut VictimRng,
-        scratch: &mut Vec<usize>,
-        stop: &AtomicBool,
-        recorder: &dyn Recorder,
-    ) -> Option<usize> {
-        match self {
-            WorkQueue::Static { cursor, claims } => {
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                (claim < *claims).then_some(claim)
-            }
-            WorkQueue::Steal(queues) => queues.next_claim(worker, rng, scratch, stop, recorder),
-        }
-    }
-}
-
-/// Per-worker claim deques for [`Schedule::Steal`].
-///
-/// Claims are block-partitioned up front — worker `w` owns the contiguous
-/// claim range `w*claims/workers .. (w+1)*claims/workers` — so worker 0
-/// always starts at claim 0 and the checkpointer's completed prefix advances
-/// early. Owners pop their own deque at the *front* (canonical order);
-/// thieves take the tail half of a victim's deque, which preserves the
-/// victim's in-order progress.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    /// Claims not yet popped for execution. Stolen-but-in-transit claims
-    /// still count, so an idle worker spins (rather than exiting) during the
-    /// nanoseconds a steal is between deques, and exits exactly when all
-    /// claims have been picked up for execution.
-    remaining: AtomicUsize,
-}
-
-impl StealQueues {
-    fn new(claims: usize, workers: usize) -> Self {
-        let queues = (0..workers)
-            .map(|w| {
-                let block = (w * claims / workers)..((w + 1) * claims / workers);
-                Mutex::new(block.collect::<VecDeque<usize>>())
-            })
-            .collect();
-        StealQueues {
-            queues,
-            remaining: AtomicUsize::new(claims),
-        }
-    }
-
-    fn next_claim(
-        &self,
-        worker: usize,
-        rng: &mut VictimRng,
-        scratch: &mut Vec<usize>,
-        stop: &AtomicBool,
-        recorder: &dyn Recorder,
-    ) -> Option<usize> {
-        loop {
-            if let Some(claim) = self.pop_own(worker) {
-                return Some(claim);
-            }
-            if self.remaining.load(Ordering::Acquire) == 0 || stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            // One steal round over the other workers, in an order drawn from
-            // this worker's seeded generator.
-            scratch.clear();
-            scratch.extend((0..self.queues.len()).filter(|&v| v != worker));
-            rng.shuffle(scratch);
-            let mut stolen = None;
-            for &victim in scratch.iter() {
-                if let Some(claim) = self.steal(worker, victim) {
-                    stolen = Some(claim);
-                    break;
-                }
-                recorder.counter("campaign.steal_fails", 1);
-            }
-            match stolen {
-                Some(claim) => {
-                    recorder.counter("campaign.steals", 1);
-                    return Some(claim);
-                }
-                // Every victim was empty but claims remain in transit:
-                // another thief holds them between deques. Yield and rescan.
-                None => std::thread::yield_now(),
-            }
-        }
-    }
-
-    fn pop_own(&self, worker: usize) -> Option<usize> {
-        let claim = self.queues[worker]
-            .lock()
-            .expect("steal deque lock")
-            .pop_front()?;
-        self.remaining.fetch_sub(1, Ordering::Release);
-        Some(claim)
-    }
-
-    /// Takes the tail half (at least one) of `victim`'s deque; the first
-    /// stolen claim is returned for immediate execution and the rest land at
-    /// the back of `thief`'s deque. The two locks are never held together.
-    fn steal(&self, thief: usize, victim: usize) -> Option<usize> {
-        let mut stolen = {
-            let mut deque = self.queues[victim].lock().expect("steal deque lock");
-            let keep = deque.len() / 2;
-            if deque.len() == keep {
-                return None; // empty victim
-            }
-            deque.split_off(keep)
-        };
-        let first = stolen.pop_front().expect("stole at least one claim");
-        self.remaining.fetch_sub(1, Ordering::Release);
-        if !stolen.is_empty() {
-            self.queues[thief]
-                .lock()
-                .expect("steal deque lock")
-                .extend(stolen);
-        }
-        Some(first)
-    }
-}
-
-/// Tiny deterministic generator (SplitMix64) for victim-order shuffles,
-/// seeded per worker index so steal order is reproducible run to run.
-struct VictimRng(u64);
-
-impl VictimRng {
-    fn new(worker: usize) -> Self {
-        VictimRng((worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5EED_C0DE)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn shuffle(&mut self, items: &mut [usize]) {
-        for i in (1..items.len()).rev() {
-            let j = (self.next() % (i as u64 + 1)) as usize;
-            items.swap(i, j);
-        }
-    }
-}
-
 impl Campaign {
     /// Runs `descriptors` on a scoped worker pool and feeds every
     /// [`RunUpdate`] to `sink` on the calling thread, in completion order.
@@ -530,15 +346,10 @@ impl Campaign {
         let null: Arc<dyn Recorder> = Arc::new(NullRecorder);
 
         // Each claim pulls `batch` consecutive canonical-order descriptors
-        // (the last claim may be narrower). Both schedules hand out the same
-        // claims, only in a different worker-to-claim assignment.
+        // (the last claim may be narrower), handed out by one shared cursor.
         let batch = self.batch().get();
         let claims = descriptors.len().div_ceil(batch);
-        let queue = WorkQueue::new(options.schedule, claims, workers);
-        let cores = match options.pinning {
-            Pinning::None => Vec::new(),
-            Pinning::Cores => core_affinity::get_core_ids().unwrap_or_default(),
-        };
+        let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let failure = FailureSlot(Mutex::new(None));
         let in_flight = Mutex::new(in_flight);
@@ -550,36 +361,22 @@ impl Campaign {
                 let worker_recorder: Arc<dyn Recorder> = buffers
                     .get(worker)
                     .map_or_else(|| Arc::clone(&null), |b| Arc::clone(b) as Arc<dyn Recorder>);
-                let (queue, stop, failure, in_flight, cores) =
-                    (&queue, &stop, &failure, &in_flight, &cores);
+                let (cursor, stop, failure, in_flight) = (&cursor, &stop, &failure, &in_flight);
                 scope.spawn(move || {
                     worker_recorder.set_context(SpanContext {
                         worker: Some(worker as u64),
                         ..SpanContext::default()
                     });
                     let worker_span = worker_recorder.span("campaign.worker");
-                    if !cores.is_empty() {
-                        let core = cores[worker % cores.len()];
-                        if core_affinity::set_for_current(core) {
-                            worker_recorder.counter("campaign.workers_pinned", 1);
-                        }
-                    }
-                    let mut rng = VictimRng::new(worker);
-                    let mut scratch = Vec::new();
                     let mut busy = Duration::ZERO;
                     loop {
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
-                        let Some(claim_id) = queue.next_claim(
-                            worker,
-                            &mut rng,
-                            &mut scratch,
-                            stop,
-                            worker_recorder.as_ref(),
-                        ) else {
+                        let claim_id = cursor.fetch_add(1, Ordering::Relaxed);
+                        if claim_id >= claims {
                             break;
-                        };
+                        }
                         let start = claim_id * batch;
                         let end = (start + batch).min(descriptors.len());
                         let claim = &descriptors[start..end];

@@ -9,11 +9,10 @@
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
     Batch, Campaign, ExecutorError, ExecutorOptions, FleetAccumulator, GateSite, Jobs,
-    RunDescriptor, RunMetrics, RunUpdate, Schedule, SimulationConfig,
+    RunDescriptor, RunMetrics, RunUpdate, SimulationConfig,
 };
 use hayat_telemetry::{MemoryRecorder, NullRecorder, Recorder};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -123,7 +122,7 @@ proptest! {
 }
 
 /// Runs `descriptors` under `options` and returns the completed metrics in
-/// canonical descriptor order, however the schedule interleaved them.
+/// canonical descriptor order, however the workers interleaved them.
 fn collect(
     campaign: &Campaign,
     descriptors: &[RunDescriptor],
@@ -146,13 +145,13 @@ fn collect(
 }
 
 proptest! {
-    // Each case runs a serial reference plus a work-stealing pool over a
-    // gate that busy-spins a random per-chip cost, so steal patterns vary
-    // case to case while the merged output may not.
+    // Each case runs a serial reference plus a worker pool over a gate
+    // that busy-spins a random per-chip cost, so which worker claims which
+    // batch varies case to case while the merged output may not.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn steal_schedule_is_byte_identical_to_static_under_skewed_costs(
+    fn shared_cursor_is_byte_identical_to_serial_under_skewed_costs(
         jobs in 2usize..=4,
         chips in 2usize..=4,
         batch in 1usize..=3,
@@ -164,7 +163,7 @@ proptest! {
             .with_batch(Batch::new(batch).unwrap());
         let descriptors = campaign.grid(&[PolicyKind::Hayat, PolicyKind::Vaa]);
         // Random skew: each chip's run is front-loaded with 0-3 x 150 us
-        // of busy-spin, so claim costs differ and fast workers go steal.
+        // of busy-spin, so claim costs differ and fast workers claim more.
         let gate = |site: GateSite, run: &RunDescriptor| -> Result<(), hayat::DynError> {
             if site == GateSite::Run {
                 let until =
@@ -180,105 +179,30 @@ proptest! {
             gate: Some(&gate),
             ..ExecutorOptions::default()
         });
-        let stolen = collect(&campaign, &descriptors, &ExecutorOptions {
+        let parallel = collect(&campaign, &descriptors, &ExecutorOptions {
             jobs: Jobs::new(jobs).unwrap(),
-            schedule: Schedule::Steal,
             gate: Some(&gate),
             ..ExecutorOptions::default()
         });
-        prop_assert_eq!(&reference, &stolen);
+        prop_assert_eq!(&reference, &parallel);
         prop_assert_eq!(
             serde_json::to_string_pretty(&reference).unwrap(),
-            serde_json::to_string_pretty(&stolen).unwrap()
+            serde_json::to_string_pretty(&parallel).unwrap()
         );
     }
 }
 
 #[test]
-fn forced_steal_is_counted_and_byte_identical_to_static() {
-    let campaign = Campaign::new(small_config(4, 1, 0.5, 13)).unwrap();
-    let descriptors = campaign.grid(&[PolicyKind::Hayat]);
-    assert_eq!(descriptors.len(), 4);
-
-    let reference = collect(
-        &campaign,
-        &descriptors,
-        &ExecutorOptions {
-            jobs: Jobs::serial(),
-            ..ExecutorOptions::default()
-        },
-    );
-
-    // Two workers, four claims: worker 0 owns {0, 1}, worker 1 owns {2, 3}.
-    // The gate parks worker 0 inside chip 0's run until chip 1 has started
-    // — and chip 1 can only start if worker 1 stole it off worker 0's
-    // deque, so observing it is proof of a successful steal (the timeout
-    // only breaks a deadlock if stealing is broken; the counter assertion
-    // below then fails loudly).
-    let claim1_started = AtomicBool::new(false);
-    let gate = |site: GateSite, run: &RunDescriptor| -> Result<(), hayat::DynError> {
-        if site == GateSite::Run {
-            if run.chip == 1 {
-                claim1_started.store(true, Ordering::SeqCst);
-            }
-            if run.chip == 0 {
-                let t0 = Instant::now();
-                while !claim1_started.load(Ordering::SeqCst)
-                    && t0.elapsed() < Duration::from_secs(10)
-                {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        Ok(())
-    };
-    let memory = Arc::new(MemoryRecorder::new());
-    let mut stolen: Vec<Option<RunMetrics>> = (0..descriptors.len()).map(|_| None).collect();
-    campaign
-        .execute(
-            &descriptors,
-            None,
-            &ExecutorOptions {
-                jobs: Jobs::new(2).unwrap(),
-                schedule: Schedule::Steal,
-                gate: Some(&gate),
-                ..ExecutorOptions::default()
-            },
-            &(memory.clone() as Arc<dyn Recorder>),
-            |update| {
-                if let RunUpdate::Completed { index, metrics } = update {
-                    stolen[index] = Some(*metrics);
-                }
-                Ok(())
-            },
-        )
-        .unwrap();
-    let stolen: Vec<RunMetrics> = stolen.into_iter().map(Option::unwrap).collect();
-    assert_eq!(reference, stolen, "the steal leaked into results");
-
-    let summary = memory.summary();
-    assert!(
-        summary.counter_total("campaign.steals").unwrap_or(0) >= 1,
-        "worker 1 must have stolen chip 1 while worker 0 was parked"
-    );
-    // The per-worker busy gauge is diagnostic-only but must be present —
-    // the BENCH_9 utilization table divides it by pool wall time.
-    assert!(
-        summary.gauge("campaign.worker_busy_seconds").is_some(),
-        "worker busy gauge missing"
-    );
-}
-
-#[test]
-fn steal_mode_concurrent_panics_surface_the_lowest_index() {
+fn concurrent_panics_surface_the_lowest_index() {
     let campaign = Campaign::new(small_config(2, 1, 0.5, 7)).unwrap();
     let descriptors = campaign.grid(&[PolicyKind::CoolestFirst]);
     assert_eq!(descriptors.len(), 2);
 
-    // Both workers hold exactly one claim (worker 0 -> descriptor 0). The
-    // barrier guarantees both are inside their run gate before either
-    // panics, so two WorkerPanics race into the failure slot — and the
-    // lowest-index rule must surface descriptor 0 every time.
+    // Two workers, two claims: whichever worker pulls a claim first parks
+    // at the barrier, so the other pulls the second claim. The barrier
+    // guarantees both are inside their run gate before either panics, so
+    // two WorkerPanics race into the failure slot — and the lowest-index
+    // rule must surface descriptor 0 every time.
     let barrier = Barrier::new(2);
     let gate = |site: GateSite, run: &RunDescriptor| -> Result<(), hayat::DynError> {
         if site == GateSite::Run {
@@ -295,7 +219,6 @@ fn steal_mode_concurrent_panics_surface_the_lowest_index() {
                 None,
                 &ExecutorOptions {
                     jobs: Jobs::new(2).unwrap(),
-                    schedule: Schedule::Steal,
                     gate: Some(&gate),
                     ..ExecutorOptions::default()
                 },
@@ -479,4 +402,10 @@ fn recorded_parallel_campaign_telemetry_is_scheduling_independent() {
     assert_eq!(p.span("campaign.worker").map(|sp| sp.count), Some(2));
     assert_eq!(s.gauge("campaign.jobs").map(|g| g.last), Some(1.0));
     assert_eq!(p.gauge("campaign.jobs").map(|g| g.last), Some(2.0));
+    // The per-worker busy gauge is diagnostic-only but must be present —
+    // the BENCH_9 utilization table divides it by pool wall time.
+    assert!(
+        p.gauge("campaign.worker_busy_seconds").is_some(),
+        "worker busy gauge missing"
+    );
 }
