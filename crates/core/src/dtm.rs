@@ -18,7 +18,9 @@ const DVFS_LEVELS: [f64; 4] = [1.0, 0.8, 0.6, 0.4];
 /// below `T_safe`.
 const UNTHROTTLE_MARGIN_KELVIN: f64 = 5.0;
 
-/// What DTM did for one overheated core.
+/// What DTM did to one core: every change to the mapping or to a core's
+/// throttle level is reported, so a caller that caches per-core load can
+/// key it on the returned events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DtmOutcome {
     /// The thread was migrated to a colder core.
@@ -31,6 +33,11 @@ pub enum DtmOutcome {
     /// No eligible destination: the thread was frequency-throttled in place.
     Throttled {
         /// The overheated core.
+        core: CoreId,
+    },
+    /// A throttled core cooled enough to climb one DVFS level.
+    Recovered {
+        /// The cooled core.
         core: CoreId,
     },
 }
@@ -115,7 +122,9 @@ impl DtmController {
 
     /// Runs one DTM check against the current temperatures, mutating the
     /// mapping (migrations) and the throttle state. Returns the outcomes of
-    /// this check, hottest core first.
+    /// this check: recoveries in core order, then the overheated cores'
+    /// migrations and throttles, hottest core first. An empty result means
+    /// neither the mapping nor any throttle level changed.
     pub fn check(
         &mut self,
         system: &ChipSystem,
@@ -132,6 +141,12 @@ impl DtmController {
                 let t = temps.core(CoreId::new(i));
                 if self.t_safe - t > UNTHROTTLE_MARGIN_KELVIN {
                     self.throttle_level[i] -= 1;
+                    events.push(DtmEvent {
+                        at_seconds,
+                        outcome: DtmOutcome::Recovered {
+                            core: CoreId::new(i),
+                        },
+                    });
                 }
             }
         }

@@ -159,7 +159,8 @@ mod tests {
             &AgingModel::paper(config.variation.design_seed),
             &config.table_axes,
         ));
-        ChipSystem::from_parts(floorplan, chip, &config, predictor, table)
+        let thermal = Arc::new(config.thermal_model(&floorplan));
+        ChipSystem::from_parts(floorplan, chip, &config, predictor, table, thermal)
     }
 
     fn ctx(system: &ChipSystem) -> PolicyContext<'_> {

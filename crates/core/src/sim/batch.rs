@@ -9,9 +9,10 @@
 //! serially in canonical order against one batch-shared [`PolicyScratch`]
 //! (amortizing the warmed candidate-scan and aging-curve caches), then each
 //! control period runs every lane's DTM/power half-step before a single
-//! batched thermal solve ([`BatchedTransient`], built the first time two
-//! lanes step together) advances all lanes' temperature vectors through one
-//! cached factorization traversal.
+//! batched thermal solve ([`BatchedTransient`], over the campaign's shared
+//! thermal model) advances all lanes' temperature vectors through one
+//! factorization traversal. The per-epoch lane lists live in batch-owned
+//! scratch, so a warmed batch steps without touching the allocator.
 //!
 //! The hot state is structure-of-arrays where it pays: the B right-hand
 //! sides of the implicit thermal solve interleave per node
@@ -32,10 +33,9 @@
 
 use crate::metrics::EpochRecord;
 use crate::policy::PolicyScratch;
-use crate::sim::engine::{EpochDecision, SimulationEngine, WindowAccum};
+use crate::sim::engine::{EpochDecision, SimulationEngine};
 use hayat_telemetry::RecorderExt;
 use hayat_thermal::{BatchLane, BatchedTransient};
-use hayat_units::Watts;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -51,11 +51,16 @@ pub struct ChipBatch {
     /// state between decisions), so serial per-lane decisions through it
     /// are output-identical to per-engine scratches.
     scratch: RefCell<PolicyScratch>,
-    /// The lockstep thermal stepper, built the first time two or more
-    /// lanes step together (a one-lane claim never clones the RC network).
-    thermal: Option<BatchedTransient>,
-    /// Per-lane power buffers, reused across steps and epochs.
-    powers: Vec<Vec<Watts>>,
+    /// The lockstep thermal stepper over the lanes' shared thermal model.
+    thermal: BatchedTransient,
+    /// Lanes taking part in the current epoch, reused across epochs.
+    active: Vec<usize>,
+    /// The active lanes' decisions for the current epoch, reused across
+    /// epochs.
+    decisions: Vec<EpochDecision>,
+    /// The active lanes' views for one batched thermal step. Empty between
+    /// steps; it only keeps its allocation (see [`relend`]).
+    lanes: Vec<BatchLane<'static>>,
 }
 
 impl ChipBatch {
@@ -85,14 +90,16 @@ impl ChipBatch {
             start_epochs.len(),
             "one start epoch per engine"
         );
-        let cores = engines[0].system().floorplan().core_count();
-        let powers = engines.iter().map(|_| Vec::with_capacity(cores)).collect();
+        let thermal = BatchedTransient::new(engines[0].system().transient());
+        let lanes = engines.len();
         ChipBatch {
             engines,
             start_epochs,
             scratch: RefCell::new(PolicyScratch::new()),
-            thermal: None,
-            powers,
+            thermal,
+            active: Vec::with_capacity(lanes),
+            decisions: Vec::with_capacity(lanes),
+            lanes: Vec::with_capacity(lanes),
         }
     }
 
@@ -130,10 +137,10 @@ impl ChipBatch {
     /// [`SimulationEngine::run_epoch`] would have produced — with one
     /// active lane, it *is* that call.
     pub fn run_epoch(&mut self, epoch: usize) -> Vec<(usize, EpochRecord)> {
-        let active: Vec<usize> = (0..self.engines.len())
-            .filter(|&lane| self.start_epochs[lane] <= epoch)
-            .collect();
-        match active[..] {
+        self.active.clear();
+        self.active
+            .extend((0..self.engines.len()).filter(|&lane| self.start_epochs[lane] <= epoch));
+        match self.active[..] {
             [] => return Vec::new(),
             [lane] => return vec![(lane, self.engines[lane].run_epoch(epoch))],
             _ => {}
@@ -142,69 +149,74 @@ impl ChipBatch {
         // shared scratch. Each lane's epoch span covers its decision (the
         // window below interleaves lanes, so per-lane span timing under
         // batching measures the decision only).
-        let mut decisions: Vec<EpochDecision> = Vec::with_capacity(active.len());
-        for &lane in &active {
+        for &lane in &self.active {
             let engine = &mut self.engines[lane];
             let recorder = Arc::clone(engine.recorder());
             if recorder.enabled() {
                 recorder.set_context(engine.span_context().with_epoch(epoch as u64));
             }
             let _epoch_span = recorder.span("engine.epoch");
-            decisions.push(engine.epoch_decide(epoch, Some(&self.scratch)));
+            self.decisions
+                .push(engine.epoch_decide(epoch, Some(&self.scratch)));
         }
         // Phase 2 — the transient window, lockstep across lanes: every
         // lane's DTM/power half-step, one batched thermal solve, every
-        // lane's statistics fold.
-        let mut accums: Vec<WindowAccum> = active
-            .iter()
-            .zip(&decisions)
-            .map(|(&lane, decision)| self.engines[lane].window_begin(&decision.workload))
-            .collect();
-        let steps = accums[0].steps;
-        let dt = self.engines[active[0]].config().control_period();
-        let recorder = Arc::clone(self.engines[active[0]].recorder());
-        let thermal = self
-            .thermal
-            .get_or_insert_with(|| BatchedTransient::new(self.engines[0].system().transient()));
+        // lane's statistics fold. Every lane runs the campaign's window, so
+        // every lane reports the same step count.
+        let mut steps = 0;
+        for (&lane, decision) in self.active.iter().zip(&self.decisions) {
+            steps = self.engines[lane].window_begin(&decision.workload);
+        }
+        let dt = self.engines[self.active[0]].config().control_period();
+        let recorder = Arc::clone(self.engines[self.active[0]].recorder());
         for step in 0..steps {
-            for ((&lane, decision), accum) in active.iter().zip(&mut decisions).zip(&mut accums) {
-                self.engines[lane].window_power_step(step, decision, accum, &mut self.powers[lane]);
+            for (&lane, decision) in self.active.iter().zip(&mut self.decisions) {
+                self.engines[lane].window_power_step(step, decision);
             }
-            {
-                let powers = &self.powers;
-                let start_epochs = &self.start_epochs;
-                let mut lanes: Vec<BatchLane<'_>> = self
-                    .engines
+            let mut lanes = relend(std::mem::take(&mut self.lanes));
+            let start_epochs = &self.start_epochs;
+            lanes.extend(
+                self.engines
                     .iter_mut()
                     .enumerate()
                     .filter(|(lane, _)| start_epochs[*lane] <= epoch)
-                    .map(|(lane, engine)| BatchLane {
-                        sim: engine.system_mut().transient_mut(),
-                        power: &powers[lane],
-                    })
-                    .collect();
-                thermal.step_recorded(dt, &mut lanes, recorder.as_ref());
-            }
-            for (&lane, accum) in active.iter().zip(&mut accums) {
-                self.engines[lane].window_absorb_step(accum);
+                    .map(|(_, engine)| engine.thermal_lane()),
+            );
+            self.thermal
+                .step_recorded(dt, &mut lanes, recorder.as_ref());
+            self.lanes = relend(lanes);
+            for &lane in &self.active {
+                self.engines[lane].window_absorb_step();
             }
         }
         // Phase 3 — epoch upscale per lane, serial in canonical order.
-        let mut records = Vec::with_capacity(active.len());
-        for ((&lane, decision), accum) in active.iter().zip(decisions).zip(accums) {
+        let mut records = Vec::with_capacity(self.active.len());
+        for (&lane, decision) in self.active.iter().zip(self.decisions.drain(..)) {
             let engine = &mut self.engines[lane];
             let recorder = Arc::clone(engine.recorder());
             if recorder.enabled() {
                 recorder.set_context(engine.span_context().with_epoch(epoch as u64));
             }
-            let outcome = accum.finish();
             records.push((
                 lane,
-                engine.epoch_finish(epoch, decision, outcome, Some(&self.scratch)),
+                engine.epoch_finish(epoch, decision, Some(&self.scratch)),
             ));
         }
         records
     }
+}
+
+/// Empties `lanes` and hands back its allocation typed for another borrow
+/// lifetime, so one lane buffer serves every step although each step's
+/// lanes borrow the engines anew. Collecting a mapped `vec::IntoIter` into
+/// a `Vec` of a same-layout type reuses the source allocation, and the
+/// closure never runs on an empty vector.
+fn relend<'b>(mut lanes: Vec<BatchLane<'_>>) -> Vec<BatchLane<'b>> {
+    lanes.clear();
+    lanes
+        .into_iter()
+        .map(|_| -> BatchLane<'b> { unreachable!("the lane buffer was cleared") })
+        .collect()
 }
 
 #[cfg(test)]
@@ -225,10 +237,11 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn batched_epochs_match_serial_bitwise() {
+    /// Runs the engines `build` returns once serially and once as one
+    /// lockstep batch, and requires identical metrics.
+    fn assert_batch_matches_serial(build: impl Fn() -> Vec<SimulationEngine>) {
         let config = SimulationConfig::quick_demo();
-        let serial: Vec<_> = engines(3)
+        let serial: Vec<_> = build()
             .into_iter()
             .map(|mut engine| {
                 let mut metrics = engine.start_metrics();
@@ -237,7 +250,7 @@ mod tests {
                 metrics
             })
             .collect();
-        let mut batch = ChipBatch::new(engines(3));
+        let mut batch = ChipBatch::new(build());
         let mut metrics: Vec<_> = (0..batch.len())
             .map(|lane| batch.engine(lane).start_metrics())
             .collect();
@@ -250,6 +263,31 @@ mod tests {
             batch.engine(lane).finalize_metrics(m);
         }
         assert_eq!(metrics, serial, "lockstep output must not drift a bit");
+    }
+
+    #[test]
+    fn batched_epochs_match_serial_bitwise() {
+        assert_batch_matches_serial(|| engines(3));
+    }
+
+    #[test]
+    fn lanes_over_one_shared_thermal_model_match_serial_bitwise() {
+        // Campaign chips share one thermal model, so every lane of the
+        // batch (and the batched stepper) steps over the same factor.
+        let mut config = SimulationConfig::quick_demo();
+        config.chip_count = 3;
+        let campaign = crate::sim::campaign::Campaign::new(config.clone()).unwrap();
+        assert_batch_matches_serial(|| {
+            (0..3)
+                .map(|chip| {
+                    SimulationEngine::new(
+                        campaign.system_for(chip),
+                        Box::<HayatPolicy>::default(),
+                        &config,
+                    )
+                })
+                .collect()
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::system::{BuildSystemError, ChipSystem};
 use hayat_aging::{AgingModel, AgingTable};
 use hayat_floorplan::Floorplan;
 use hayat_telemetry::{NullRecorder, Recorder};
-use hayat_thermal::ThermalPredictor;
+use hayat_thermal::{ThermalModel, ThermalPredictor};
 use hayat_variation::ChipStream;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -61,7 +61,7 @@ impl PolicyKind {
 
 /// A campaign: one configuration evaluated for every chip of the population
 /// under each requested policy, sharing the expensive offline artifacts
-/// (chip sampler, thermal predictor, aging table).
+/// (chip sampler, thermal model, thermal predictor, aging table).
 ///
 /// Chips are *streamed*, not materialized: the campaign holds a seekable
 /// [`ChipStream`] and regenerates any chip index on demand, so memory is
@@ -87,6 +87,7 @@ pub struct Campaign {
     stream: ChipStream,
     predictor: Arc<ThermalPredictor>,
     aging_table: Arc<AgingTable>,
+    thermal: Arc<ThermalModel>,
     batch: Batch,
 }
 
@@ -104,12 +105,14 @@ impl Campaign {
         let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
         let aging_model = AgingModel::paper(config.variation.design_seed);
         let aging_table = Arc::new(AgingTable::generate(&aging_model, &config.table_axes));
+        let thermal = Arc::new(config.thermal_model(&floorplan));
         Ok(Campaign {
             config,
             floorplan,
             stream,
             predictor,
             aging_table,
+            thermal,
             batch: Batch::serial(),
         })
     }
@@ -173,6 +176,7 @@ impl Campaign {
             &self.config,
             Arc::clone(&self.predictor),
             Arc::clone(&self.aging_table),
+            Arc::clone(&self.thermal),
         )
     }
 
@@ -670,5 +674,38 @@ mod tests {
         let b = c.system_for(1);
         assert_ne!(a.chip().fmax_all(), b.chip().fmax_all());
         assert!((a.health().mean() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn chips_share_the_campaigns_thermal_model() {
+        let c = tiny_campaign();
+        let a = c.system_for(0);
+        let b = c.system_for(1);
+        assert!(Arc::ptr_eq(a.transient().model(), b.transient().model()));
+        assert!(Arc::ptr_eq(a.transient().model(), &c.thermal));
+    }
+
+    #[test]
+    fn shared_model_runs_match_fresh_per_chip_builds() {
+        // `paper_chip` builds each chip its own network and factor; the
+        // campaign's chips step over one shared model. No run may change.
+        let mut config = SimulationConfig::quick_demo();
+        config.chip_count = 3;
+        config.years = 1.5;
+        config.transient_window_seconds = 0.1;
+        let campaign = Campaign::new(config.clone()).unwrap();
+        for kind in [PolicyKind::Hayat, PolicyKind::Vaa] {
+            for chip in 0..config.chip_count {
+                let system = ChipSystem::paper_chip(chip, &config).unwrap();
+                let policy = kind.instantiate(config.workload_seed ^ chip as u64);
+                let fresh = SimulationEngine::new(system, policy, &config).run();
+                assert_eq!(
+                    campaign.run_one(kind, chip),
+                    fresh,
+                    "{} chip {chip}",
+                    kind.name()
+                );
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use hayat_aging::TableAxes;
 use hayat_power::{DarkSiliconBudget, PowerConfig};
-use hayat_thermal::{Integrator, ThermalConfig};
+use hayat_thermal::{Integrator, ThermalConfig, ThermalModel};
 use hayat_units::{Seconds, Years};
 use hayat_variation::VariationParams;
 use serde::{Deserialize, Serialize};
@@ -176,6 +176,20 @@ impl SimulationConfig {
     #[must_use]
     pub fn control_period(&self) -> Seconds {
         Seconds::new(self.control_period_seconds)
+    }
+
+    /// Builds the chip-invariant thermal model this configuration describes
+    /// on `floorplan`: its RC network, integrator, and the backward-Euler
+    /// factor at the control period. A campaign builds it once and shares
+    /// it across every chip.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thermal configuration is invalid.
+    #[must_use]
+    pub fn thermal_model(&self, floorplan: &hayat_floorplan::Floorplan) -> ThermalModel {
+        ThermalModel::new(floorplan, &self.thermal, self.integrator)
+            .with_control_period(self.control_period())
     }
 
     /// Checks ranges.

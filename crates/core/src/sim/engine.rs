@@ -7,9 +7,11 @@ use crate::policy::{Policy, PolicyContext, PolicyScratch};
 use crate::sensors::SensorSuite;
 use crate::sim::config::SimulationConfig;
 use crate::sim::snapshot::{EngineSnapshot, RestoreError};
+use crate::sim::window::WindowAccum;
 use crate::system::ChipSystem;
-use hayat_power::PowerState;
+use hayat_floorplan::CoreId;
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt, SpanContext};
+use hayat_thermal::BatchLane;
 use hayat_units::{Watts, Years};
 use hayat_workload::WorkloadMix;
 use std::cell::RefCell;
@@ -65,6 +67,10 @@ pub struct SimulationEngine {
     /// is moved (never shared) across worker threads, so a `RefCell` is
     /// enough.
     scratch: RefCell<PolicyScratch>,
+    /// The transient window, reset every epoch and reused across epochs.
+    window: WindowAccum,
+    /// The per-core power vector of the current control period.
+    power: Vec<Watts>,
 }
 
 impl SimulationEngine {
@@ -101,6 +107,8 @@ impl SimulationEngine {
             .sensors
             .clone()
             .map(|cfg| SensorSuite::new(cfg, config.workload_seed ^ 0x5E25_0125));
+        let window = WindowAccum::new(system.transient().core_temps());
+        let power = Vec::with_capacity(system.floorplan().core_count());
         SimulationEngine {
             system,
             policy,
@@ -111,6 +119,8 @@ impl SimulationEngine {
             recorder: Arc::new(NullRecorder),
             context: SpanContext::default(),
             scratch: RefCell::new(PolicyScratch::new()),
+            window,
+            power,
         }
     }
 
@@ -265,24 +275,25 @@ impl SimulationEngine {
         }
         let _epoch_span = recorder.span("engine.epoch");
         let mut decision = self.epoch_decide(epoch, None);
-        let mut accum = self.window_begin(&decision.workload);
+        let steps = self.window_begin(&decision.workload);
         let dt = self.config.control_period();
-        let mut power: Vec<Watts> = Vec::with_capacity(self.system.floorplan().core_count());
-        for step in 0..accum.steps {
-            self.window_power_step(step, &mut decision, &mut accum, &mut power);
+        for step in 0..steps {
+            self.window_power_step(step, &mut decision);
             self.system
                 .transient_mut()
-                .step_recorded(dt, &power, recorder.as_ref());
-            self.window_absorb_step(&mut accum);
+                .step_recorded(dt, &self.power, recorder.as_ref());
+            self.window_absorb_step();
         }
-        let outcome = accum.finish();
-        self.epoch_finish(epoch, decision, outcome, None)
+        self.epoch_finish(epoch, decision, None)
     }
 
-    /// Mutable access to the chip system, for the batched executor's
-    /// lockstep thermal stepping.
-    pub(crate) fn system_mut(&mut self) -> &mut ChipSystem {
-        &mut self.system
+    /// This chip's lane of a batched thermal step: its transient simulator
+    /// and the power vector the last `window_power_step` filled.
+    pub(crate) fn thermal_lane(&mut self) -> BatchLane<'_> {
+        BatchLane {
+            sim: self.system.transient_mut(),
+            power: &self.power,
+        }
     }
 
     /// The engine's telemetry sink (shared with the batched executor).
@@ -341,94 +352,60 @@ impl SimulationEngine {
         }
     }
 
-    /// Phase 2 entry — the transient-window accumulator for one epoch,
-    /// seeded from the current thermal state.
-    pub(crate) fn window_begin(&self, workload: &WorkloadMix) -> WindowAccum {
-        let n = self.system.floorplan().core_count();
+    /// Phase 2 entry — resets the engine's transient window for one epoch,
+    /// seeded from the current thermal state, and returns its number of
+    /// control periods.
+    pub(crate) fn window_begin(&mut self, workload: &WorkloadMix) -> usize {
         let window = self.config.transient_window_seconds;
         let steps = (window / self.config.control_period_seconds)
             .round()
             .max(1.0) as usize;
-        WindowAccum {
+        let required_ips_per_step = workload
+            .threads()
+            .map(|(_, t)| t.ips(t.min_frequency()))
+            .sum();
+        self.window.begin(
             steps,
-            window_seconds: window,
-            worst: self.system.transient().temperatures(),
-            stress_seconds: vec![0.0f64; n],
-            temp_sum: 0.0,
-            peak: self.system.transient().temperatures().max().value(),
-            required_ips_per_step: workload
-                .threads()
-                .map(|(_, t)| t.ips(t.min_frequency()))
-                .sum(),
-            required_ips: 0.0,
-            achieved_ips: 0.0,
-        }
+            window,
+            self.system.transient().core_temps(),
+            required_ips_per_step,
+        );
+        steps
     }
 
     /// Phase 2, first half of one control period: DTM check against the
     /// current temperatures, per-core power under the (possibly updated)
     /// mapping — dynamic power follows the thread's phase trace — and
-    /// stress/throughput accounting. Fills `power` for the thermal advance
-    /// the caller performs (serially or batched across chips).
-    pub(crate) fn window_power_step(
-        &mut self,
-        step: usize,
-        decision: &mut EpochDecision,
-        accum: &mut WindowAccum,
-        power: &mut Vec<Watts>,
-    ) {
+    /// stress/throughput accounting. Fills the engine's power vector for
+    /// the thermal advance the caller performs (serially or batched across
+    /// chips).
+    pub(crate) fn window_power_step(&mut self, step: usize, decision: &mut EpochDecision) {
         let now = step as f64 * self.config.control_period_seconds;
-        let temps = self.system.transient().temperatures();
-        let _ = self.dtm.check(
+        let events = self.dtm.check(
             &self.system,
             &mut decision.mapping,
             &decision.workload,
-            &temps,
+            &self.window.current,
             now,
         );
-        let model = self.system.power_model();
-        let chip = self.system.chip();
-        let mapping = &decision.mapping;
-        let workload = &decision.workload;
-        power.clear();
-        power.extend(self.system.floorplan().cores().map(|core| {
-            let t = temps.core(core);
-            let state = match mapping.thread_on(core) {
-                Some(tid) => {
-                    let profile = workload.thread(tid);
-                    let freq = profile
-                        .min_frequency()
-                        .scaled(self.dtm.throttle_factor(core));
-                    let dynamic = profile
-                        .dynamic_power(freq)
-                        .scaled(profile.power_factor(now));
-                    PowerState::Active { dynamic }
-                }
-                None => PowerState::Dark,
-            };
-            model.core_power(state, chip.leakage_factor(core), t)
-        }));
-        // Throttled cores run below the required frequency; unplaced
-        // threads deliver nothing.
-        accum.required_ips += accum.required_ips_per_step;
-        for (core, tid) in mapping.assignments() {
-            let profile = workload.thread(tid);
-            accum.stress_seconds[core.index()] +=
-                self.config.control_period_seconds * profile.duty().value();
-            let freq = profile
-                .min_frequency()
-                .scaled(self.dtm.throttle_factor(core));
-            accum.achieved_ips += profile.ips(freq);
+        if !events.is_empty() {
+            self.window.invalidate_loads();
         }
+        self.window.step_power(
+            now,
+            self.config.control_period_seconds,
+            &self.system,
+            &decision.mapping,
+            &decision.workload,
+            &self.dtm,
+            &mut self.power,
+        );
     }
 
     /// Phase 2, second half of one control period: folds the post-step
     /// temperatures into the window statistics.
-    pub(crate) fn window_absorb_step(&self, accum: &mut WindowAccum) {
-        let after = self.system.transient().temperatures();
-        accum.worst = accum.worst.elementwise_max(&after);
-        accum.temp_sum += after.mean().value();
-        accum.peak = accum.peak.max(after.max().value());
+    pub(crate) fn window_absorb_step(&mut self) {
+        self.window.absorb(self.system.transient().core_temps());
     }
 
     /// Phase 3 — the epoch upscale: recycle the mapping, advance every
@@ -438,7 +415,6 @@ impl SimulationEngine {
         &mut self,
         epoch: usize,
         decision: EpochDecision,
-        outcome: WindowOutcome,
         shared: Option<&RefCell<PolicyScratch>>,
     ) -> EpochRecord {
         let recorder = Arc::clone(&self.recorder);
@@ -451,23 +427,17 @@ impl SimulationEngine {
         {
             let _aging_span = recorder.span("engine.aging.advance");
             let epoch_len = self.config.epoch();
-            let updates: Vec<_> = self
-                .system
-                .floorplan()
-                .cores()
-                .map(|core| {
-                    let h_now = self.system.health().core(core).value();
-                    let h_next = self.system.aging_table().advance(
-                        outcome.worst_temps[core.index()],
-                        outcome.duty[core.index()],
-                        h_now,
-                        epoch_len,
-                    );
-                    (core, h_next)
-                })
-                .collect();
-            for (core, h_next) in updates {
+            // Each core's update reads only its own health, so updating in
+            // place core by core is the same as computing all first.
+            for i in 0..self.system.floorplan().core_count() {
+                let core = CoreId::new(i);
                 let current = self.system.health().core(core);
+                let h_next = self.system.aging_table().advance(
+                    self.window.worst(i),
+                    self.window.duty(i),
+                    current.value(),
+                    epoch_len,
+                );
                 self.system
                     .health_mut()
                     .set(core, current.degraded_to(h_next));
@@ -490,12 +460,12 @@ impl SimulationEngine {
             chip_fmax_ghz: self.system.chip_fmax().value(),
             mean_health: self.system.health().mean(),
             min_health: self.system.health().min().value(),
-            avg_temp_kelvin: outcome.avg_temp,
-            peak_temp_kelvin: outcome.peak_temp,
+            avg_temp_kelvin: self.window.avg_temp(),
+            peak_temp_kelvin: self.window.peak(),
             dtm_migrations: self.dtm.migrations() - decision.migrations_before,
             dtm_throttles: self.dtm.throttles() - decision.throttles_before,
             unplaced_threads: decision.unplaced_threads,
-            throughput_fraction: outcome.throughput_fraction,
+            throughput_fraction: self.window.throughput_fraction(),
         }
     }
 }
@@ -515,66 +485,13 @@ pub(crate) struct EpochDecision {
     throttles_before: u64,
 }
 
-/// Running statistics over one transient window, advanced one control
-/// period at a time.
-pub(crate) struct WindowAccum {
-    /// Control periods in the window.
-    pub(crate) steps: usize,
-    window_seconds: f64,
-    worst: hayat_thermal::TemperatureMap,
-    stress_seconds: Vec<f64>,
-    temp_sum: f64,
-    peak: f64,
-    required_ips_per_step: f64,
-    required_ips: f64,
-    achieved_ips: f64,
-}
-
-impl WindowAccum {
-    /// Reduces the accumulated window statistics to the per-epoch outcome.
-    pub(crate) fn finish(self) -> WindowOutcome {
-        let n = self.stress_seconds.len();
-        let duty: Vec<hayat_units::DutyCycle> = self
-            .stress_seconds
-            .iter()
-            .map(|&s| hayat_units::DutyCycle::clamped(s / self.window_seconds))
-            .collect();
-        let worst_temps: Vec<hayat_units::Kelvin> = (0..n)
-            .map(|i| self.worst.core(hayat_floorplan::CoreId::new(i)))
-            .collect();
-        let throughput_fraction = if self.required_ips > 0.0 {
-            (self.achieved_ips / self.required_ips).min(1.0)
-        } else {
-            1.0
-        };
-        WindowOutcome {
-            worst_temps,
-            duty,
-            avg_temp: self.temp_sum / self.steps as f64,
-            peak_temp: self.peak,
-            throughput_fraction,
-        }
-    }
-}
-
-/// Per-core worst-case temperatures, effective duty cycles, the
-/// time-averaged mean temperature, the observed peak, and the
-/// delivered-throughput fraction (achieved over required IPS across all
-/// threads and steps) of one transient window.
-pub(crate) struct WindowOutcome {
-    worst_temps: Vec<hayat_units::Kelvin>,
-    duty: Vec<hayat_units::DutyCycle>,
-    avg_temp: f64,
-    peak_temp: f64,
-    throughput_fraction: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::hayat::HayatPolicy;
     use crate::policy::vaa::VaaPolicy;
-    use hayat_thermal::Integrator;
+    use hayat_power::PowerState;
+    use hayat_thermal::{Integrator, TemperatureMap};
 
     fn engine(policy: Box<dyn Policy>) -> SimulationEngine {
         let config = SimulationConfig::quick_demo();
@@ -692,6 +609,77 @@ mod tests {
             Some(epochs)
         );
         assert!(s.span("thermal.transient.step").map_or(0, |sp| sp.count) > 0);
+    }
+
+    /// The window's power vector as a recompute-every-step loop builds it:
+    /// every core from the mapping and throttle state, at the window's
+    /// current temperatures.
+    fn recomputed_power(e: &SimulationEngine, decision: &EpochDecision, now: f64) -> Vec<Watts> {
+        let system = e.system();
+        system
+            .floorplan()
+            .cores()
+            .map(|core| {
+                let state = match decision.mapping.thread_on(core) {
+                    Some(tid) => {
+                        let profile = decision.workload.thread(tid);
+                        let freq = profile
+                            .min_frequency()
+                            .scaled(e.dtm().throttle_factor(core));
+                        PowerState::Active {
+                            dynamic: profile
+                                .dynamic_power(freq)
+                                .scaled(profile.power_factor(now)),
+                        }
+                    }
+                    None => PowerState::Dark,
+                };
+                system.power_model().core_power(
+                    state,
+                    system.chip().leakage_factor(core),
+                    e.window.current.core(core),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_window_power_follows_a_throttle_and_its_silent_recovery() {
+        // Script the window's temperatures: one active core hits T_safe
+        // while every other core sits inside the hysteresis band (DTM can
+        // only throttle it), then the chip cools (the core climbs back one
+        // DVFS level, which changes its power without a migration), then
+        // stays cool. The cached per-core load must match a recompute at
+        // every step, bit for bit.
+        let mut e = engine(Box::<HayatPolicy>::default());
+        let mut decision = e.epoch_decide(0, None);
+        let steps = e.window_begin(&decision.workload);
+        assert!(steps >= 3);
+        let hot = decision.mapping.active().next().expect("an active core");
+        let t_safe = e.system().thermal_config().t_safe;
+        let cores = e.system().floorplan().core_count();
+        let mut throttling = TemperatureMap::uniform(cores, t_safe + -2.0);
+        throttling.set(hot, t_safe + 3.0);
+        let cool = TemperatureMap::uniform(cores, t_safe + -20.0);
+        let script = [throttling, cool.clone(), cool];
+        let expected_factor = [0.8, 1.0, 1.0];
+        for (step, temps) in script.into_iter().enumerate() {
+            e.window.current = temps;
+            e.window_power_step(step, &mut decision);
+            assert_eq!(e.dtm().throttle_factor(hot), expected_factor[step]);
+            let now = step as f64 * e.config.control_period_seconds;
+            let want = recomputed_power(&e, &decision, now);
+            assert_eq!(e.power.len(), want.len());
+            for (core, (got, want)) in e.power.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.value().to_bits(),
+                    want.value().to_bits(),
+                    "core {core} at step {step}"
+                );
+            }
+        }
+        assert_eq!(e.dtm().throttles(), 1);
+        assert_eq!(e.dtm().migrations(), 0);
     }
 
     #[test]

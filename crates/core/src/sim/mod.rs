@@ -7,3 +7,4 @@ pub mod engine;
 pub mod executor;
 pub mod fleet;
 pub mod snapshot;
+mod window;

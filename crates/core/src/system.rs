@@ -4,7 +4,7 @@ use crate::sim::config::SimulationConfig;
 use hayat_aging::{AgingModel, AgingTable, HealthMap};
 use hayat_floorplan::{CoreId, Floorplan};
 use hayat_power::{DarkSiliconBudget, PowerModel};
-use hayat_thermal::{ThermalConfig, ThermalPredictor, TransientSimulator};
+use hayat_thermal::{ThermalConfig, ThermalModel, ThermalPredictor, TransientSimulator};
 use hayat_units::Gigahertz;
 use hayat_variation::{Chip, ChipPopulation, VariationError};
 use std::error::Error;
@@ -60,9 +60,10 @@ impl From<VariationError> for BuildSystemError {
 /// table, the power model, the dark-silicon budget, and the mutable health
 /// map and thermal state.
 ///
-/// Heavy, chip-independent artifacts (the learned [`ThermalPredictor`] and
-/// the generated [`AgingTable`]) are shared by `Arc` so a 25-chip campaign
-/// builds them once.
+/// Heavy, chip-independent artifacts (the [`ThermalModel`] the transient
+/// simulator steps over, the learned [`ThermalPredictor`] and the generated
+/// [`AgingTable`]) are shared by `Arc` so a 25-chip campaign builds them
+/// once.
 ///
 /// # Example
 ///
@@ -119,16 +120,24 @@ impl ChipSystem {
         let predictor = Arc::new(ThermalPredictor::learn(&floorplan, &config.thermal));
         let aging_model = AgingModel::paper(config.variation.design_seed);
         let aging_table = Arc::new(AgingTable::generate(&aging_model, &config.table_axes));
+        let thermal = Arc::new(config.thermal_model(&floorplan));
         Ok(ChipSystem::from_parts(
             floorplan,
             chip,
             config,
             predictor,
             aging_table,
+            thermal,
         ))
     }
 
-    /// Assembles a system from prebuilt (shared) parts.
+    /// Assembles a system from prebuilt (shared) parts. `thermal` must be
+    /// the model `config` describes on `floorplan`
+    /// ([`SimulationConfig::thermal_model`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thermal` covers a different core count than `floorplan`.
     #[must_use]
     pub fn from_parts(
         floorplan: Floorplan,
@@ -136,9 +145,14 @@ impl ChipSystem {
         config: &SimulationConfig,
         predictor: Arc<ThermalPredictor>,
         aging_table: Arc<AgingTable>,
+        thermal: Arc<ThermalModel>,
     ) -> Self {
-        let transient =
-            TransientSimulator::with_integrator(&floorplan, &config.thermal, config.integrator);
+        assert_eq!(
+            thermal.network().core_count(),
+            floorplan.core_count(),
+            "thermal model must cover the floorplan's cores"
+        );
+        let transient = TransientSimulator::from_model(thermal);
         let health = HealthMap::fresh(floorplan.core_count());
         let budget = DarkSiliconBudget::new(floorplan.core_count(), config.dark_fraction);
         ChipSystem {
@@ -289,7 +303,7 @@ impl ChipSystem {
         for _ in 0..50 {
             let temp_vec: Vec<_> = self.floorplan.cores().map(|c| temps.core(c)).collect();
             let power = self.power_model.chip_power(states, &factors, &temp_vec);
-            let next = hayat_thermal::steady_state(&self.floorplan, &self.thermal_config, &power);
+            let next = hayat_thermal::steady_state_on(self.transient.model().network(), &power);
             let delta = (next.max() - temps.max()).abs();
             temps = next;
             if delta < 1e-3 {

@@ -207,13 +207,23 @@ impl std::error::Error for NotPositiveDefiniteError {}
 /// # }
 /// ```
 pub fn cholesky(a: &SquareMatrix) -> Result<SquareMatrix, NotPositiveDefiniteError> {
+    cholesky_with(a, try_cholesky)
+}
+
+/// The jitter-retry driver of [`cholesky`], over any factorization kernel
+/// with [`try_cholesky`]'s contract (tests run it over the row-order
+/// reference kernel too).
+fn cholesky_with(
+    a: &SquareMatrix,
+    kernel: fn(&SquareMatrix, f64) -> Result<SquareMatrix, NotPositiveDefiniteError>,
+) -> Result<SquareMatrix, NotPositiveDefiniteError> {
     assert!(a.is_symmetric(1e-9), "cholesky requires a symmetric matrix");
     let n = a.n();
     let mean_diag = (0..n).map(|i| a.get(i, i)).sum::<f64>() / n.max(1) as f64;
     let mut jitter = 0.0;
     let mut next_jitter = 1e-10 * mean_diag.max(1e-300);
     for _attempt in 0..=4 {
-        match try_cholesky(a, jitter) {
+        match kernel(a, jitter) {
             Ok(l) => return Ok(l),
             Err(err) => {
                 if jitter >= next_jitter * 1e4 {
@@ -228,29 +238,60 @@ pub fn cholesky(a: &SquareMatrix) -> Result<SquareMatrix, NotPositiveDefiniteErr
         }
     }
     next_jitter *= 1e4;
-    try_cholesky(a, next_jitter)
+    kernel(a, next_jitter)
 }
 
+/// Rows the dense kernels ([`try_cholesky`], [`lower_mul_vec`]) advance
+/// together: independent accumulation chains the CPU overlaps instead of
+/// waiting out one chain's add latency per term, and row streams it
+/// prefetches side by side.
+const CHAINS: usize = 4;
+
+/// One Cholesky attempt of `a + jitter·I`, column by column.
+///
+/// Column `j` first finishes its diagonal (row `j`'s entries left of it
+/// were finished by earlier columns), then the entries below it,
+/// [`CHAINS`] rows at a time. Every entry still runs
+/// `sum -= l_ik·l_jk` for `k = 0, 1, …, j−1` in that order, as plain
+/// multiply-then-subtract (no fused multiply-add), so the factor is
+/// bit-identical to the textbook row-by-row loop, and the first diagonal
+/// that is not positive (the reported pivot) is the same.
 fn try_cholesky(a: &SquareMatrix, jitter: f64) -> Result<SquareMatrix, NotPositiveDefiniteError> {
     let n = a.n();
     let mut l = SquareMatrix::zeros(n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a.get(i, j);
-            if i == j {
-                sum += jitter;
-            }
-            for k in 0..j {
-                sum -= l.get(i, k) * l.get(j, k);
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(NotPositiveDefiniteError { pivot: i });
+    for j in 0..n {
+        let mut diag = a.get(j, j) + jitter;
+        for &x in &l.row(j)[..j] {
+            diag -= x * x;
+        }
+        if diag <= 0.0 {
+            return Err(NotPositiveDefiniteError { pivot: j });
+        }
+        let d = diag.sqrt();
+        l.set(j, j, d);
+        let mut i = j + 1;
+        while i + CHAINS <= n {
+            let mut sums: [f64; CHAINS] = std::array::from_fn(|c| a.get(i + c, j));
+            {
+                let pivot = &l.row(j)[..j];
+                let rows: [&[f64]; CHAINS] = std::array::from_fn(|c| &l.row(i + c)[..j]);
+                for (k, &p) in pivot.iter().enumerate() {
+                    for (sum, row) in sums.iter_mut().zip(&rows) {
+                        *sum -= row[k] * p;
+                    }
                 }
-                l.set(i, j, sum.sqrt());
-            } else {
-                l.set(i, j, sum / l.get(j, j));
             }
+            for (c, sum) in sums.into_iter().enumerate() {
+                l.set(i + c, j, sum / d);
+            }
+            i += CHAINS;
+        }
+        for r in i..n {
+            let mut sum = a.get(r, j);
+            for (&x, &p) in l.row(r)[..j].iter().zip(&l.row(j)[..j]) {
+                sum -= x * p;
+            }
+            l.set(r, j, sum / d);
         }
     }
     Ok(l)
@@ -321,21 +362,49 @@ pub fn axpy_in_place(y: &mut [f64], p: f64, x: &[f64]) {
 /// Multiplies a lower-triangular factor with a vector (`y = L·z`), the core
 /// operation of correlated-Gaussian sampling.
 ///
+/// Rows run four at a time, but every `y_i` is still the sum of
+/// `l_ik·z_k` for `k = 0, 1, …, i` in that order, starting from the `-0.0`
+/// that `f64`'s `Sum` starts from, so each entry is bit-identical to
+/// `row.iter().zip(z).map(|(a, b)| a * b).sum()`.
+///
 /// # Panics
 ///
 /// Panics if `z.len() != l.n()`.
 #[must_use]
 pub fn lower_mul_vec(l: &SquareMatrix, z: &[f64]) -> Vec<f64> {
     assert_eq!(z.len(), l.n(), "vector length must match matrix size");
-    (0..l.n())
-        .map(|i| {
-            l.row(i)[..=i]
+    let n = l.n();
+    let mut y = Vec::with_capacity(n);
+    let mut i = 0;
+    while i + CHAINS <= n {
+        // The block's common columns `0..=i`, all rows together…
+        let mut sums = [-0.0f64; CHAINS];
+        let rows: [&[f64]; CHAINS] = std::array::from_fn(|c| &l.row(i + c)[..=i]);
+        for (k, &zk) in z[..=i].iter().enumerate() {
+            for (sum, row) in sums.iter_mut().zip(&rows) {
+                *sum += row[k] * zk;
+            }
+        }
+        // …then each row's own tail up to its diagonal.
+        for (c, mut sum) in sums.into_iter().enumerate() {
+            let r = i + c;
+            for (a, b) in l.row(r)[i + 1..=r].iter().zip(&z[i + 1..=r]) {
+                sum += a * b;
+            }
+            y.push(sum);
+        }
+        i += CHAINS;
+    }
+    for r in i..n {
+        y.push(
+            l.row(r)[..=r]
                 .iter()
-                .zip(&z[..=i])
+                .zip(&z[..=r])
                 .map(|(a, b)| a * b)
-                .sum()
-        })
-        .collect()
+                .sum(),
+        );
+    }
+    y
 }
 
 /// Solves `A·x = b` given the lower Cholesky factor `L` of `A` (so
@@ -944,6 +1013,185 @@ mod tests {
             }
         }
         a
+    }
+
+    /// The textbook row-by-row kernel `try_cholesky` replaced, kept as its
+    /// bit-identity oracle.
+    fn try_cholesky_rowwise(
+        a: &SquareMatrix,
+        jitter: f64,
+    ) -> Result<SquareMatrix, NotPositiveDefiniteError> {
+        let n = a.n();
+        let mut l = SquareMatrix::zeros(n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a.get(i, j);
+                if i == j {
+                    sum += jitter;
+                }
+                for k in 0..j {
+                    sum -= l.get(i, k) * l.get(j, k);
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(NotPositiveDefiniteError { pivot: i });
+                    }
+                    l.set(i, j, sum.sqrt());
+                } else {
+                    l.set(i, j, sum / l.get(j, j));
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// Asserts that [`cholesky`] and the row-order oracle agree: the same
+    /// bits in every entry, or the same failing pivot.
+    fn assert_matches_rowwise(a: &SquareMatrix) {
+        match (cholesky(a), cholesky_with(a, try_cholesky_rowwise)) {
+            (Ok(got), Ok(want)) => {
+                for (k, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "entry ({}, {}) of n = {}",
+                        k / a.n(),
+                        k % a.n(),
+                        a.n()
+                    );
+                }
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "n = {}", a.n()),
+            (got, want) => panic!(
+                "n = {}: column order {:?} vs row order {:?}",
+                a.n(),
+                got.map(|_| ()),
+                want.map(|_| ())
+            ),
+        }
+    }
+
+    /// `B·Bᵀ` for an `n × rank` matrix `B` of uniform entries in [-1, 1)
+    /// drawn from `seed` (SplitMix64): symmetric by construction, positive
+    /// definite at full rank and singular below it.
+    fn gram(n: usize, rank: usize, seed: u64) -> SquareMatrix {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as f64 / u64::MAX as f64 * 2.0 - 1.0
+        };
+        let b: Vec<f64> = (0..n * rank).map(|_| next()).collect();
+        let mut a = SquareMatrix::zeros(n);
+        for i in 0..n {
+            for j in 0..n {
+                let dot = (0..rank).map(|k| b[i * rank + k] * b[j * rank + k]).sum();
+                a.set(i, j, dot);
+            }
+        }
+        a
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn column_order_cholesky_is_bit_identical_to_row_order(
+            n in 1usize..=70,
+            seed in 0u64..u64::MAX,
+            shape in 0usize..3,
+        ) {
+            let a = match shape {
+                // Positive definite: the plain attempt succeeds.
+                0 => gram(n, n + 2, seed),
+                // Rank-deficient: exercises the jitter retries.
+                1 => gram(n, n.div_ceil(2), seed),
+                // Indefinite: one diagonal made negative, so both kernels
+                // must give up at the same pivot.
+                _ => {
+                    let mut a = gram(n, n + 2, seed);
+                    let p = (seed % n as u64) as usize;
+                    a.set(p, p, -1.0 - a.get(p, p));
+                    a
+                }
+            };
+            assert_matches_rowwise(&a);
+        }
+    }
+
+    #[test]
+    fn column_order_cholesky_is_bit_identical_at_variation_scale() {
+        // The paper chip's variation covariance is 1024 × 1024: an
+        // exponential kernel over a 32 × 32 cell grid.
+        let side = 32usize;
+        let n = side * side;
+        let mut a = SquareMatrix::zeros(n);
+        for i in 0..n {
+            for j in 0..n {
+                let (di, dj) = ((i / side).abs_diff(j / side), (i % side).abs_diff(j % side));
+                let d = ((di * di + dj * dj) as f64).sqrt();
+                a.set(i, j, 0.01 * (-d / 6.0).exp());
+            }
+        }
+        assert_matches_rowwise(&a);
+    }
+
+    /// Random lower-triangular `n × n` factor and `n`-vector from `seed`,
+    /// entries in [-1, 1).
+    fn lower_case(n: usize, seed: u64) -> (SquareMatrix, Vec<f64>) {
+        let mut l = SquareMatrix::zeros(n);
+        let mut state = seed;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        };
+        for i in 0..n {
+            for j in 0..=i {
+                l.set(i, j, next());
+            }
+        }
+        let z = (0..n).map(|_| next()).collect();
+        (l, z)
+    }
+
+    /// Asserts every entry of [`lower_mul_vec`] has the bits of the
+    /// row-by-row `Sum` it replaced.
+    fn assert_lower_mul_matches_rowwise(l: &SquareMatrix, z: &[f64]) {
+        let got = lower_mul_vec(l, z);
+        for (i, y) in got.iter().enumerate() {
+            let want: f64 = l.row(i)[..=i]
+                .iter()
+                .zip(&z[..=i])
+                .map(|(a, b)| a * b)
+                .sum();
+            assert_eq!(y.to_bits(), want.to_bits(), "row {i} of n = {}", l.n());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn chained_lower_mul_vec_is_bit_identical_to_row_sums(
+            n in 1usize..=70,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (l, z) = lower_case(n, seed);
+            assert_lower_mul_matches_rowwise(&l, &z);
+        }
+    }
+
+    #[test]
+    fn chained_lower_mul_vec_is_bit_identical_at_variation_scale() {
+        let (l, z) = lower_case(1024, 7);
+        assert_lower_mul_matches_rowwise(&l, &z);
+        // All-zero rows: the `-0.0` start must survive, as with `Sum`.
+        let zero = SquareMatrix::zeros(9);
+        assert_lower_mul_matches_rowwise(&zero, &[-0.0; 9]);
     }
 
     #[test]

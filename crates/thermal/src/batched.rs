@@ -1,13 +1,14 @@
 //! Lockstep thermal stepping for chip batches (structure-of-arrays).
 //!
-//! Every chip in a campaign shares one floorplan and therefore one RC
-//! network *structure* — `(C/h + G)` and its banded Cholesky factor are
+//! Every chip in a campaign shares one floorplan and therefore one
+//! [`ThermalModel`] — `(C/h + G)` and its banded Cholesky factor are
 //! identical across chips; only the temperature state and power vectors
 //! differ. [`BatchedTransient`] exploits that: it advances B chips'
-//! [`TransientSimulator`]s through **one cached factorization per step
-//! size**, gathering the B right-hand sides into a structure-of-arrays
-//! buffer and forward/backward-substituting all of them in a single factor
-//! traversal ([`BandedCholeskyFactor::solve_many_in_place`]).
+//! [`TransientSimulator`]s through **one factorization per step size** (the
+//! shared model's at the control period), gathering the B right-hand sides
+//! into a structure-of-arrays buffer and forward/backward-substituting all
+//! of them in a single factor traversal
+//! ([`BandedCholeskyFactor::solve_many_in_place`](hayat_linalg::BandedCholeskyFactor::solve_many_in_place)).
 //!
 //! The batching is a pure execution strategy: per lane, every FP operation
 //! happens in exactly the order the scalar `implicit_step` performs it
@@ -22,24 +23,11 @@
 //! lane. Campaign output is unaffected — spans are observational.
 
 use crate::integrator::Integrator;
-use crate::rc_model::RcNetwork;
-use crate::transient::{TransientSimulator, MAX_CACHED_FACTORS};
-use hayat_linalg::BandedCholeskyFactor;
+use crate::model::{FactorCache, ThermalModel};
+use crate::transient::TransientSimulator;
 use hayat_telemetry::{Recorder, RecorderExt};
 use hayat_units::{Seconds, Watts};
-
-/// One cached multi-RHS backward-Euler factorization, keyed by the exact
-/// bit pattern of the step size it was assembled for (mirrors the scalar
-/// simulator's cache entry).
-#[derive(Debug, Clone)]
-struct BatchedFactor {
-    /// `f64::to_bits` of the step size `h`.
-    h_bits: u64,
-    /// Banded Cholesky factor of `(C/h + G)` in layer-interleaved order.
-    factor: BandedCholeskyFactor,
-    /// `C_i/h` per node, banded order.
-    c_over_h: Vec<f64>,
-}
+use std::sync::Arc;
 
 /// One chip's view into a batched step: its simulator plus the constant
 /// per-core power vector to apply over the step.
@@ -52,24 +40,22 @@ pub struct BatchLane<'a> {
     pub power: &'a [Watts],
 }
 
-/// Advances B chips' temperature vectors in lockstep through one cached
+/// Advances B chips' temperature vectors in lockstep through one
 /// factorization per step size.
 ///
-/// Built from a template [`TransientSimulator`]; every lane passed to
+/// Built from a template [`TransientSimulator`] and stepping over its
+/// [`ThermalModel`]; every lane passed to
 /// [`step_recorded`](Self::step_recorded) must come from a simulator built
-/// on the **same floorplan and thermal configuration** (the batch shares
-/// the template's factorization — node counts are asserted, structural
-/// identity is the caller's contract, which the campaign executor satisfies
-/// by construction since all chips share one config).
+/// on the **same floorplan and thermal configuration** (node counts are
+/// asserted, structural identity is the caller's contract, which the
+/// campaign executor satisfies by construction since all its chips share
+/// one model).
 #[derive(Debug, Clone)]
 pub struct BatchedTransient {
-    network: RcNetwork,
-    /// RC node index per banded (layer-interleaved) position.
-    node_of_banded: Vec<usize>,
-    /// `G_amb·T_amb` per node, banded order (h-independent rhs part).
-    ambient_rhs: Vec<f64>,
-    /// Cached factorizations shared by every lane, one per step size seen.
-    factors: Vec<BatchedFactor>,
+    model: Arc<ThermalModel>,
+    /// Factorizations for step sizes the model does not carry, shared by
+    /// every lane.
+    factors: FactorCache,
     /// Structure-of-arrays rhs/solution buffer, `node × lane` interleaved.
     soa: Vec<f64>,
     /// Lane-major temperature staging, one stride-padded row per lane.
@@ -93,21 +79,9 @@ impl BatchedTransient {
     /// first lane's).
     #[must_use]
     pub fn new(template: &TransientSimulator) -> Self {
-        let network = template.network().clone();
-        let node_count = network.node_count();
-        let mut node_of_banded = vec![0usize; node_count];
-        for node in 0..node_count {
-            node_of_banded[network.banded_index(node)] = node;
-        }
-        let ambient_rhs = node_of_banded
-            .iter()
-            .map(|&node| network.g_ambient(node) * network.ambient().value())
-            .collect();
         BatchedTransient {
-            network,
-            node_of_banded,
-            ambient_rhs,
-            factors: Vec::new(),
+            model: Arc::clone(template.model()),
+            factors: FactorCache::default(),
             soa: Vec::new(),
             staging: Vec::new(),
             power_staging: Vec::new(),
@@ -117,7 +91,7 @@ impl BatchedTransient {
     /// Number of RC nodes each lane's simulator must have.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.node_of_banded.len()
+        self.model.network().node_count()
     }
 
     /// Advances every lane by `dt` under its constant power vector — the
@@ -147,8 +121,9 @@ impl BatchedTransient {
         }
         let _solve = recorder.span("thermal.transient.step");
         let batch = lanes.len();
-        let n = self.node_of_banded.len();
-        let cores = self.network.core_count();
+        let model = &*self.model;
+        let n = model.network().node_count();
+        let cores = model.network().core_count();
         for lane in lanes.iter() {
             assert_eq!(
                 lane.sim.node_count(),
@@ -161,7 +136,6 @@ impl BatchedTransient {
                 "power vector must cover every core"
             );
         }
-        let idx = self.ensure_factor(dt.value());
         self.soa.resize(n * batch, 0.0);
         // Odd number of cache lines per lane row so the transposed
         // (stride-`stride`) reads below walk every L1/L2 set instead of
@@ -185,15 +159,15 @@ impl BatchedTransient {
         let soa = &mut self.soa;
         let staging = &mut self.staging;
         let power_staging = &self.power_staging;
-        let entry = &self.factors[idx];
+        let entry = self.factors.get(model, dt.value());
         // Gather: per lane, the exact rhs expression of the scalar
         // `implicit_step`. Node-outer so the SoA writes stream one
         // contiguous lane-row at a time (each rhs entry is independent, so
         // loop order cannot change any lane's FP result).
         for ((k_row, &node), (&c_over_h, &ambient)) in soa
             .chunks_exact_mut(batch)
-            .zip(&self.node_of_banded)
-            .zip(entry.c_over_h.iter().zip(&self.ambient_rhs))
+            .zip(model.node_of_banded())
+            .zip(entry.c_over_h.iter().zip(model.ambient_rhs()))
         {
             if node < cores {
                 for (slot, (row, prow)) in k_row.iter_mut().zip(
@@ -212,7 +186,7 @@ impl BatchedTransient {
         entry.factor.solve_many_in_place(soa, batch);
         // Scatter back through staging, then stream each lane out
         // sequentially.
-        for (k_row, &node) in soa.chunks_exact(batch).zip(&self.node_of_banded) {
+        for (k_row, &node) in soa.chunks_exact(batch).zip(model.node_of_banded()) {
             for (&value, row) in k_row.iter().zip(staging.chunks_exact_mut(stride)) {
                 row[node] = value;
             }
@@ -226,32 +200,6 @@ impl BatchedTransient {
                 recorder.histogram("thermal.transient.substeps", 1.0);
             }
         }
-    }
-
-    /// Index of the cached factorization for step size `h` (same policy as
-    /// the scalar simulator: keyed by exact bit pattern, FIFO-bounded).
-    fn ensure_factor(&mut self, h: f64) -> usize {
-        let h_bits = h.to_bits();
-        if let Some(i) = self.factors.iter().position(|f| f.h_bits == h_bits) {
-            return i;
-        }
-        let system = self.network.implicit_system(h);
-        let factor = BandedCholeskyFactor::factorize(&system)
-            .expect("backward-Euler system (C/h + G) is positive definite");
-        let c_over_h = self
-            .node_of_banded
-            .iter()
-            .map(|&node| self.network.capacity(node) / h)
-            .collect();
-        if self.factors.len() >= MAX_CACHED_FACTORS {
-            self.factors.remove(0);
-        }
-        self.factors.push(BatchedFactor {
-            h_bits,
-            factor,
-            c_over_h,
-        });
-        self.factors.len() - 1
     }
 }
 

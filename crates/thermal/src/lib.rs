@@ -22,8 +22,9 @@
 //! * [`TransientSimulator`] — time integration for the closed-loop
 //!   fine-grained simulation inside an aging epoch (Fig. 4), with a
 //!   selectable [`Integrator`]: unconditionally stable backward Euler
-//!   (one cached banded Cholesky solve per control period) or the
-//!   explicit forward-Euler oracle,
+//!   (one banded Cholesky solve per control period) or the explicit
+//!   forward-Euler oracle. Its network and factors live in a
+//!   [`ThermalModel`] that every chip of a campaign shares,
 //! * [`ThermalPredictor`] — the paper's lightweight online predictor (\[27\]):
 //!   offline-learned per-thread spatial thermal footprints, superposed at
 //!   run time with a temperature-dependent-leakage correction.
@@ -50,6 +51,7 @@
 mod batched;
 mod config;
 mod integrator;
+mod model;
 mod predictor;
 mod profile;
 mod rc_model;
@@ -59,6 +61,7 @@ mod transient;
 pub use crate::batched::{BatchLane, BatchedTransient};
 pub use crate::config::ThermalConfig;
 pub use crate::integrator::Integrator;
+pub use crate::model::ThermalModel;
 pub use crate::predictor::{PredictorModel, ThermalPredictor, ThreadFootprint};
 pub use crate::profile::TemperatureMap;
 pub use crate::rc_model::RcNetwork;

@@ -144,25 +144,6 @@ impl TemperatureMap {
     pub fn as_slice(&self) -> &[Kelvin] {
         &self.temps
     }
-
-    /// Element-wise maximum with another map, used to track worst-case
-    /// temperatures over a transient window (Section IV-B step 3 records
-    /// "the worst-case temperature over time").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the maps cover different core counts.
-    #[must_use]
-    pub fn elementwise_max(&self, other: &TemperatureMap) -> TemperatureMap {
-        assert_eq!(self.len(), other.len(), "maps must cover the same cores");
-        TemperatureMap::new(
-            self.temps
-                .iter()
-                .zip(&other.temps)
-                .map(|(&a, &b)| a.max(b))
-                .collect(),
-        )
-    }
 }
 
 impl fmt::Display for TemperatureMap {
@@ -214,16 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_max_tracks_worst_case() {
-        let a = map();
-        let mut b = map();
-        b.set(CoreId::new(0), Kelvin::new(350.0));
-        let worst = a.elementwise_max(&b);
-        assert_eq!(worst.core(CoreId::new(0)), Kelvin::new(350.0));
-        assert_eq!(worst.core(CoreId::new(1)), Kelvin::new(340.0));
-    }
-
-    #[test]
     fn iter_yields_all_cores() {
         assert_eq!(map().iter().count(), 3);
     }
@@ -232,11 +203,5 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn empty_map_panics() {
         let _ = TemperatureMap::new(vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "same cores")]
-    fn mismatched_elementwise_max_panics() {
-        let _ = map().elementwise_max(&TemperatureMap::uniform(2, Kelvin::new(300.0)));
     }
 }

@@ -2,30 +2,13 @@
 
 use crate::config::ThermalConfig;
 use crate::integrator::Integrator;
+use crate::model::{FactorCache, ThermalModel};
 use crate::profile::TemperatureMap;
-use crate::rc_model::RcNetwork;
 use hayat_floorplan::Floorplan;
-use hayat_linalg::BandedCholeskyFactor;
 use hayat_telemetry::{Recorder, RecorderExt, NULL_RECORDER};
 use hayat_units::{Kelvin, Seconds, Watts};
 use serde::{Deserialize, Serialize};
-
-/// Upper bound on cached backward-Euler factorizations. Real workloads use
-/// one or two distinct step sizes (the control period, plus possibly a
-/// settle window); the cap only guards against a caller sweeping step sizes.
-pub(crate) const MAX_CACHED_FACTORS: usize = 8;
-
-/// One cached backward-Euler factorization, keyed by the exact bit pattern
-/// of the step size it was assembled for.
-#[derive(Debug, Clone)]
-struct ImplicitFactor {
-    /// `f64::to_bits` of the step size `h`.
-    h_bits: u64,
-    /// Banded Cholesky factor of `(C/h + G)` in layer-interleaved order.
-    factor: BandedCholeskyFactor,
-    /// `C_i/h` per node, banded order (precomputed rhs coefficients).
-    c_over_h: Vec<f64>,
-}
+use std::sync::Arc;
 
 /// The complete mutable state of a [`TransientSimulator`], detached from
 /// the (immutable, config-derived) RC network: every node temperature —
@@ -53,14 +36,19 @@ pub struct TransientSnapshot {
 /// Under [`Integrator::ForwardEuler`] requested steps are internally
 /// subdivided into numerically stable sub-steps; under
 /// [`Integrator::BackwardEuler`] each requested step is one banded
-/// Cholesky solve of `(C/h + G)` whose factorization is cached per step
-/// size, so advancing by the paper's 6.6 ms control period costs a single
-/// `O(n·b)` substitution regardless of the network's stiffness.
+/// Cholesky solve of `(C/h + G)`, so advancing by the paper's 6.6 ms
+/// control period costs a single `O(n·b)` substitution regardless of the
+/// network's stiffness. The factor at the control period comes from the
+/// shared [`ThermalModel`]; any other step size is factored on first use
+/// and cached per simulator.
 ///
-/// [`TransientSimulator::new`] builds the **explicit** oracle (preserving
-/// the original scheme for cross-validation); production callers select
-/// the integrator with [`TransientSimulator::with_integrator`] — the
-/// engine's `SimulationConfig` defaults to backward Euler.
+/// The simulator owns only its node temperatures, elapsed time and
+/// scratch: the network and its factors live in the `Arc`'d
+/// [`ThermalModel`], so the chips of a campaign share one
+/// ([`TransientSimulator::from_model`]). [`TransientSimulator::new`] builds
+/// the **explicit** oracle on a model of its own (preserving the original
+/// scheme for cross-validation); [`TransientSimulator::with_integrator`]
+/// does the same for any integrator.
 ///
 /// # Example
 ///
@@ -78,17 +66,12 @@ pub struct TransientSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TransientSimulator {
-    network: RcNetwork,
+    model: Arc<ThermalModel>,
     /// Per-node temperatures (silicon, spreader, sink), kelvin.
     node_temps: Vec<f64>,
     elapsed: f64,
-    integrator: Integrator,
-    /// RC node index per banded (layer-interleaved) position.
-    node_of_banded: Vec<usize>,
-    /// `G_amb·T_amb` per node, banded order (h-independent rhs part).
-    ambient_rhs: Vec<f64>,
-    /// Cached backward-Euler factorizations, one per step size seen.
-    factors: Vec<ImplicitFactor>,
+    /// Backward-Euler factors for step sizes the model does not carry.
+    factors: FactorCache,
     /// Reusable rhs/solution buffer for the implicit solve, banded order.
     scratch: Vec<f64>,
 }
@@ -119,33 +102,36 @@ impl TransientSimulator {
         config: &ThermalConfig,
         integrator: Integrator,
     ) -> Self {
-        let network = RcNetwork::new(floorplan, config);
-        let node_count = network.node_count();
-        let node_temps = vec![network.ambient().value(); node_count];
-        let mut node_of_banded = vec![0usize; node_count];
-        for node in 0..node_count {
-            node_of_banded[network.banded_index(node)] = node;
-        }
-        let ambient_rhs = node_of_banded
-            .iter()
-            .map(|&node| network.g_ambient(node) * network.ambient().value())
-            .collect();
+        TransientSimulator::from_model(Arc::new(ThermalModel::new(floorplan, config, integrator)))
+    }
+
+    /// Creates a simulator with every node at ambient temperature over a
+    /// (typically campaign-shared) model, stepping with the model's
+    /// integrator.
+    #[must_use]
+    pub fn from_model(model: Arc<ThermalModel>) -> Self {
+        let network = model.network();
+        let node_temps = vec![network.ambient().value(); network.node_count()];
+        let scratch = vec![0.0; network.node_count()];
         TransientSimulator {
-            network,
+            model,
             node_temps,
             elapsed: 0.0,
-            integrator,
-            node_of_banded,
-            ambient_rhs,
-            factors: Vec::new(),
-            scratch: vec![0.0; node_count],
+            factors: FactorCache::default(),
+            scratch,
         }
+    }
+
+    /// The thermal model this simulator steps over.
+    #[must_use]
+    pub const fn model(&self) -> &Arc<ThermalModel> {
+        &self.model
     }
 
     /// The integration scheme this simulator steps with.
     #[must_use]
-    pub const fn integrator(&self) -> Integrator {
-        self.integrator
+    pub fn integrator(&self) -> Integrator {
+        self.model.integrator()
     }
 
     /// Creates a simulator starting from a given per-core temperature map
@@ -163,7 +149,7 @@ impl TransientSimulator {
         let mut sim = TransientSimulator::new(floorplan, config);
         assert_eq!(
             initial.len(),
-            sim.network.core_count(),
+            sim.model.network().core_count(),
             "initial map must cover every core"
         );
         for (core, t) in initial.iter() {
@@ -175,7 +161,7 @@ impl TransientSimulator {
     /// The ambient temperature of the underlying network.
     #[must_use]
     pub fn ambient(&self) -> Kelvin {
-        self.network.ambient()
+        self.model.network().ambient()
     }
 
     /// Number of RC nodes in the network (cores + spreader + sink nodes) —
@@ -189,12 +175,6 @@ impl TransientSimulator {
     #[must_use]
     pub fn elapsed(&self) -> Seconds {
         Seconds::new(self.elapsed)
-    }
-
-    /// The RC network this simulator integrates over (for the batched
-    /// lockstep stepper, which clones it to share one factor cache).
-    pub(crate) fn network(&self) -> &RcNetwork {
-        &self.network
     }
 
     /// Raw per-node temperatures in network order (cores first).
@@ -238,11 +218,12 @@ impl TransientSimulator {
     /// Same conditions as [`step`](Self::step).
     pub fn step_recorded(&mut self, dt: Seconds, core_power: &[Watts], recorder: &dyn Recorder) {
         let _solve = recorder.span("thermal.transient.step");
-        let substeps = match self.integrator {
+        let network = self.model.network();
+        let substeps = match self.model.integrator() {
             Integrator::ForwardEuler => {
-                let injection = self.network.injection(core_power);
+                let injection = network.injection(core_power);
                 let mut remaining = dt.value();
-                let max_step = self.network.stable_step();
+                let max_step = network.stable_step();
                 let mut substeps: u64 = 0;
                 while remaining > 0.0 {
                     let h = remaining.min(max_step);
@@ -255,7 +236,7 @@ impl TransientSimulator {
             Integrator::BackwardEuler => {
                 assert_eq!(
                     core_power.len(),
-                    self.network.core_count(),
+                    network.core_count(),
                     "power vector must cover every core"
                 );
                 if dt.value() > 0.0 {
@@ -276,63 +257,36 @@ impl TransientSimulator {
     /// adequate because `step` subdivides every request below the stability
     /// bound derived from the fastest RC time constant in the network.
     fn euler_step(&mut self, h: f64, injection: &[f64]) {
-        let n = self.network.node_count();
+        let network = self.model.network();
         let mut next = self.node_temps.clone();
-        for (i, next_t) in next.iter_mut().enumerate().take(n) {
-            let flow = self.network.net_flow(i, &self.node_temps, injection);
-            *next_t += h * flow / self.network.capacity(i);
+        for (i, next_t) in next.iter_mut().enumerate() {
+            let flow = network.net_flow(i, &self.node_temps, injection);
+            *next_t += h * flow / network.capacity(i);
         }
         self.node_temps = next;
     }
 
     /// One backward-Euler step of size `h`: solves
-    /// `(C/h + G)·T' = (C/h)·T + P + G_amb·T_amb` through the cached banded
-    /// factorization for `h`. Unconditionally stable, allocation-free after
-    /// the first step at a given `h`.
+    /// `(C/h + G)·T' = (C/h)·T + P + G_amb·T_amb` through the factorization
+    /// for `h` (the model's, or this simulator's cached one). Unconditionally
+    /// stable, allocation-free after the first step at a given `h`.
     fn implicit_step(&mut self, h: f64, core_power: &[Watts]) {
-        let idx = self.ensure_factor(h);
-        let cores = self.network.core_count();
-        let entry = &self.factors[idx];
-        for (k, &node) in self.node_of_banded.iter().enumerate() {
+        let model = &*self.model;
+        let cores = model.network().core_count();
+        let entry = self.factors.get(model, h);
+        for (k, &node) in model.node_of_banded().iter().enumerate() {
             let injection = if node < cores {
                 core_power[node].value()
             } else {
                 0.0
             };
             self.scratch[k] =
-                entry.c_over_h[k] * self.node_temps[node] + self.ambient_rhs[k] + injection;
+                entry.c_over_h[k] * self.node_temps[node] + model.ambient_rhs()[k] + injection;
         }
         entry.factor.solve_in_place(&mut self.scratch);
-        for (k, &node) in self.node_of_banded.iter().enumerate() {
+        for (k, &node) in model.node_of_banded().iter().enumerate() {
             self.node_temps[node] = self.scratch[k];
         }
-    }
-
-    /// Index of the cached factorization for step size `h`, assembling and
-    /// factorizing `(C/h + G)` on first use (cache keyed by the exact bit
-    /// pattern of `h`, bounded by [`MAX_CACHED_FACTORS`]).
-    fn ensure_factor(&mut self, h: f64) -> usize {
-        let h_bits = h.to_bits();
-        if let Some(i) = self.factors.iter().position(|f| f.h_bits == h_bits) {
-            return i;
-        }
-        let system = self.network.implicit_system(h);
-        let factor = BandedCholeskyFactor::factorize(&system)
-            .expect("backward-Euler system (C/h + G) is positive definite");
-        let c_over_h = self
-            .node_of_banded
-            .iter()
-            .map(|&node| self.network.capacity(node) / h)
-            .collect();
-        if self.factors.len() >= MAX_CACHED_FACTORS {
-            self.factors.remove(0);
-        }
-        self.factors.push(ImplicitFactor {
-            h_bits,
-            factor,
-            c_over_h,
-        });
-        self.factors.len() - 1
     }
 
     /// Captures the simulator's complete mutable state for checkpointing.
@@ -379,15 +333,17 @@ impl TransientSimulator {
         self.elapsed = snapshot.elapsed_seconds;
     }
 
+    /// Current per-core (silicon-node) temperatures, kelvin, borrowed
+    /// without allocating (cores in id order; unchecked raw values).
+    #[must_use]
+    pub fn core_temps(&self) -> &[f64] {
+        &self.node_temps[..self.model.network().core_count()]
+    }
+
     /// Current per-core (silicon-node) temperatures.
     #[must_use]
     pub fn temperatures(&self) -> TemperatureMap {
-        TemperatureMap::new(
-            self.node_temps[..self.network.core_count()]
-                .iter()
-                .map(|&t| Kelvin::new(t))
-                .collect(),
-        )
+        TemperatureMap::new(self.core_temps().iter().map(|&t| Kelvin::new(t)).collect())
     }
 
     /// Runs to (approximate) equilibrium under a constant power vector:
@@ -453,6 +409,7 @@ impl TransientSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::MAX_CACHED_FACTORS;
     use crate::steady::steady_state;
 
     fn setup() -> (Floorplan, ThermalConfig) {

@@ -28,7 +28,8 @@ fn system_on(rows: usize, cols: usize, dark: f64) -> ChipSystem {
         &AgingModel::paper(config.variation.design_seed),
         &config.table_axes,
     ));
-    ChipSystem::from_parts(floorplan, chip, &config, predictor, table)
+    let thermal = Arc::new(config.thermal_model(&floorplan));
+    ChipSystem::from_parts(floorplan, chip, &config, predictor, table, thermal)
 }
 
 fn ctx(system: &ChipSystem) -> PolicyContext<'_> {
@@ -66,12 +67,14 @@ fn one_dimensional_chip_simulates_a_full_lifetime() {
         &AgingModel::paper(config.variation.design_seed),
         &config.table_axes,
     ));
+    let thermal = Arc::new(config.thermal_model(&floorplan));
     let system = ChipSystem::from_parts(
         floorplan,
         population.chips()[0].clone(),
         &config,
         predictor,
         table,
+        thermal,
     );
     let mut engine = SimulationEngine::new(system, Box::<HayatPolicy>::default(), &config);
     let metrics = engine.run();
