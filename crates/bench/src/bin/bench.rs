@@ -8,9 +8,6 @@
 //! uses against the bisection oracle it replaced — at 5x, plus an
 //! **observability** section gating the streaming fleet-sketch
 //! aggregator's overhead at under 2% of campaign wall time, plus a
-//! **batched kernels** section driving 64 chips through the lockstep
-//! [`ChipBatch`] data path at widths 1/8/64 and gating the per-chip
-//! decision+thermal throughput gain at batch 64 at 1.5x or better, plus a
 //! **large floorplan** section sweeping the mesh through 8×8 / 16×16 /
 //! 32×32 (and 64×64 under `--full`) and racing the tiled candidate index
 //! against the exhaustive scan on one aged-chip Hayat decision per size,
@@ -40,14 +37,13 @@
 //! flat ~1x) and the report says so instead of emitting the flat points.
 
 use hayat::{
-    Campaign, ChipBatch, ChipSystem, ExecutorOptions, FleetAccumulator, GateSite, HayatPolicy,
-    HayatReference, Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics,
-    RunUpdate, SearchPath, SimulationConfig, SimulationEngine,
+    Campaign, ChipSystem, ExecutorOptions, FleetAccumulator, GateSite, HayatPolicy, HayatReference,
+    Jobs, Policy, PolicyContext, PolicyScratch, RunDescriptor, RunMetrics, RunUpdate, SearchPath,
+    SimulationConfig, SimulationEngine,
 };
 use hayat_aging::{AgeCurveScratch, TablePath};
 use hayat_telemetry::{MemoryRecorder, NullRecorder, Recorder};
-use hayat_thermal::{BatchLane, BatchedTransient, TransientSimulator};
-use hayat_units::{DutyCycle, Kelvin, Seconds, Watts, Years};
+use hayat_units::{DutyCycle, Kelvin, Years};
 use hayat_workload::WorkloadMix;
 use serde::Serialize;
 use std::cell::RefCell;
@@ -161,59 +157,6 @@ struct Observability {
     overhead_gate_ok: bool,
 }
 
-/// One width of a batched lockstep sweep.
-#[derive(Serialize)]
-struct BatchPoint {
-    batch: usize,
-    /// Best-of-reps wall time to push every chip through the measured unit
-    /// at this width (setup identical at every width stays untimed).
-    wall_seconds: f64,
-    /// `wall / (chips × units)`: the per-chip cost of one unit (one
-    /// decision+window for the kernel sweep, one epoch for the end-to-end
-    /// sweep) at this width.
-    per_chip_unit_seconds: f64,
-    /// Per-chip throughput gain over the width-1 serial path.
-    throughput_vs_serial: f64,
-}
-
-/// The batched SoA data path at widths 1/8/64.
-///
-/// The **gated** sweep is the decision+thermal kernel composite: per chip,
-/// one Hayat `map_threads` decision followed by one paper transient window
-/// (2 s of 6.6 ms backward-Euler steps) — at width 1 through the scalar
-/// simulator, batched through `BatchedTransient`'s one-factor-traversal
-/// multi-RHS solve. These two kernels are what the batch data path
-/// restructures, so this is where the SoA win is measured and gated.
-///
-/// The **end-to-end** sweep drives full `ChipBatch` epochs (decision +
-/// window bookkeeping + health upscale) and is reported un-gated: the
-/// engine's per-step accounting (DTM checks, power vectors, stress and
-/// temperature folds) is identical per-lane work at every width, so it
-/// dilutes the kernel win in proportion to the window length.
-#[derive(Serialize)]
-struct BatchedKernels {
-    config: String,
-    chips: usize,
-    /// Control-period steps in the kernel composite's window.
-    window_steps: usize,
-    /// The gated decision+thermal kernel sweep.
-    kernel_points: Vec<BatchPoint>,
-    /// Full-epoch lockstep sweep (observational, not gated).
-    epochs_per_run: usize,
-    end_to_end_points: Vec<BatchPoint>,
-    /// Kernel-composite gain at batch 64.
-    speedup_at_batch_64: f64,
-    /// Hard perf gate: the batch-64 kernel composite must deliver at least
-    /// 1.5x the per-chip throughput of the serial path.
-    batch64_gate_ok: bool,
-    /// Kernel-composite gain at batch 8 — reported explicitly because
-    /// BENCH_7 regressed here; see `batch8_note`.
-    speedup_at_batch_8: f64,
-    /// The BENCH_7 batch-8 regression, bisected and fixed: where it came
-    /// from and why batch 8 now clears serial.
-    batch8_note: String,
-}
-
 /// One mesh size of the large-floorplan sweep.
 #[derive(Serialize)]
 struct FloorplanPoint {
@@ -270,7 +213,6 @@ struct Bench9 {
     scheduler: SchedulerSection,
     decision_path: DecisionPath,
     observability: Observability,
-    batched_kernels: BatchedKernels,
     large_floorplan: LargeFloorplan,
 }
 
@@ -284,20 +226,6 @@ fn time_best<F: FnMut()>(mut f: F, reps: u32) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
-}
-
-/// A representative half-dark power vector (active cores at 6 W, dark cores
-/// at gated leakage).
-fn window_power(cores: usize) -> Vec<Watts> {
-    (0..cores)
-        .map(|i| {
-            if i % 2 == 0 {
-                Watts::new(6.0)
-            } else {
-                Watts::new(0.019)
-            }
-        })
-        .collect()
 }
 
 /// One aging epoch (policy decision + transient window + health update) on a
@@ -412,280 +340,6 @@ fn campaign_scaling(fast: bool, extra_jobs: Jobs) -> CampaignScaling {
         sweep_skipped,
         points,
         speedup_at_4_jobs,
-    }
-}
-
-/// The batched sweep's campaign: 64 chips (so a width-64 batch actually
-/// runs 64-wide), two quarter-year epochs each, paper thermal constants on
-/// the 8×8 mesh with the quick-demo 0.3 s transient window.
-fn batched_sweep_config() -> SimulationConfig {
-    let mut config = SimulationConfig::quick_demo();
-    config.chip_count = 64;
-    config.years = 0.5;
-    config.epoch_years = 0.25;
-    config
-}
-
-/// One timed pass of the decision+thermal kernel composite: per chip, one
-/// Hayat `map_threads` decision (warm shared scratch, recycled mapping)
-/// then one paper transient window of backward-Euler steps. Width 1 steps
-/// each chip's scalar simulator; wider widths run the window through
-/// `BatchedTransient`'s multi-RHS solve. The caller owns `sims` for the
-/// whole sweep — `clone_from` rewinds each one in place untimed, so the
-/// decisions' heap churn never re-scatters the simulators' buffers
-/// between passes (fresh same-size-class allocations can alias in cache
-/// and cost ~40% on the batched window). Each pass still pays its own
-/// factorization(s) inside the clock — amortizing those is part of the
-/// batched win.
-fn batched_composite_seconds(
-    systems: &[ChipSystem],
-    workloads: &[WorkloadMix],
-    powers: &[Vec<Watts>],
-    sims: &mut [TransientSimulator],
-    horizon: Years,
-    width: usize,
-) -> f64 {
-    let steps = (WINDOW_SECONDS / CONTROL_PERIOD).round() as usize;
-    let dt = Seconds::new(CONTROL_PERIOD);
-    let mut policy = HayatPolicy::default();
-    let scratch = RefCell::new(PolicyScratch::new());
-    for (sim, system) in sims.iter_mut().zip(systems) {
-        sim.clone_from(system.transient());
-    }
-    let t0 = Instant::now();
-    for start in (0..systems.len()).step_by(width) {
-        let end = (start + width).min(systems.len());
-        for lane in start..end {
-            let ctx =
-                PolicyContext::new(&systems[lane], horizon, Years::new(0.0)).with_scratch(&scratch);
-            let mapping = policy.map_threads(&ctx, &workloads[lane]);
-            scratch.borrow_mut().mapping_pool.push(mapping);
-        }
-        let chunk = &mut sims[start..end];
-        if width == 1 {
-            for _ in 0..steps {
-                chunk[0].step(dt, &powers[start]);
-            }
-        } else {
-            let mut batched = BatchedTransient::new(&chunk[0]);
-            for _ in 0..steps {
-                let mut lanes: Vec<BatchLane<'_>> = chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(lane, sim)| BatchLane {
-                        sim,
-                        power: &powers[start + lane],
-                    })
-                    .collect();
-                batched.step_recorded(dt, &mut lanes, &NullRecorder);
-            }
-        }
-        for sim in chunk.iter() {
-            std::hint::black_box(sim.temperatures().max());
-        }
-    }
-    t0.elapsed().as_secs_f64()
-}
-
-/// One timed pass pushing every chip through every epoch at the given
-/// batch width. Engine construction happens outside the timed region (it
-/// is identical setup at every width and every pass must start from fresh
-/// health); width 1 times the plain serial engine loop — the scalar epoch
-/// every one-lane claim runs at `--batch 1`.
-fn batched_epochs_seconds(systems: &[ChipSystem], config: &SimulationConfig, width: usize) -> f64 {
-    let epochs = config.epoch_count();
-    let build = |chunk: &[ChipSystem]| -> Vec<SimulationEngine> {
-        chunk
-            .iter()
-            .map(|system| {
-                SimulationEngine::new(system.clone(), Box::new(HayatPolicy::default()), config)
-            })
-            .collect()
-    };
-    if width == 1 {
-        let mut engines = build(systems);
-        let t0 = Instant::now();
-        for engine in &mut engines {
-            for epoch in 0..epochs {
-                std::hint::black_box(engine.run_epoch(epoch).peak_temp_kelvin);
-            }
-        }
-        t0.elapsed().as_secs_f64()
-    } else {
-        let mut batches: Vec<ChipBatch> = systems
-            .chunks(width)
-            .map(|c| ChipBatch::new(build(c)))
-            .collect();
-        let t0 = Instant::now();
-        for batch in &mut batches {
-            for epoch in 0..epochs {
-                std::hint::black_box(batch.run_epoch(epoch).len());
-            }
-        }
-        t0.elapsed().as_secs_f64()
-    }
-}
-
-/// Sweeps widths 1/8/64 with `measure_once` — one untimed warm-up cycle,
-/// then `reps` round-robin cycles keeping each width's minimum wall time.
-/// Interleaving the widths inside every cycle means a burst of host noise
-/// lands on the same-numbered rep of *all* widths instead of swallowing
-/// one width's whole block, which would skew the ratios the gate checks.
-fn width_sweep(
-    units: usize,
-    reps: u32,
-    mut measure_once: impl FnMut(usize) -> f64,
-) -> Vec<BatchPoint> {
-    const WIDTHS: [usize; 3] = [1, 8, 64];
-    let mut best = [f64::INFINITY; 3];
-    for rep in 0..=reps {
-        for (slot, &width) in best.iter_mut().zip(&WIDTHS) {
-            let wall = measure_once(width);
-            if rep > 0 {
-                *slot = slot.min(wall);
-            }
-        }
-    }
-    let serial_wall = best[0];
-    WIDTHS
-        .into_iter()
-        .zip(best)
-        .map(|(width, wall)| BatchPoint {
-            batch: width,
-            wall_seconds: wall,
-            per_chip_unit_seconds: wall / units as f64,
-            throughput_vs_serial: serial_wall / wall,
-        })
-        .collect()
-}
-
-/// Drives the 64-chip sweeps through widths 1/8/64 and gates the per-chip
-/// decision+thermal kernel throughput gain at batch 64 at 1.5x.
-fn batched_kernels(fast: bool) -> BatchedKernels {
-    let config = batched_sweep_config();
-    let systems: Vec<ChipSystem> = (0..config.chip_count)
-        .map(|chip| ChipSystem::paper_chip(chip, &config).expect("paper chip builds"))
-        .collect();
-    let workloads: Vec<WorkloadMix> = systems
-        .iter()
-        .enumerate()
-        .map(|(chip, system)| {
-            WorkloadMix::generate(config.workload_seed ^ chip as u64, system.budget().max_on())
-        })
-        .collect();
-    let powers: Vec<Vec<Watts>> = (0..config.chip_count)
-        .map(|_| window_power(systems[0].floorplan().core_count()))
-        .collect();
-    let horizon = config.horizon();
-    let window_steps = (WINDOW_SECONDS / CONTROL_PERIOD).round() as usize;
-    let epochs = config.epoch_count();
-    let reps = if fast { 3 } else { 6 };
-
-    // The batched window's working set (SoA rhs, staging, factor) is
-    // L2-sized, and L2 sets are *physically* indexed: an unlucky
-    // virtual→physical page draw for those buffers conflict-misses the
-    // whole process (~30% slower batched steps, every rep, while the
-    // scalar arm is untouched). The draw is fixed once malloc hands out
-    // the blocks, so re-measuring inside one allocation epoch can never
-    // recover — instead re-roll the pages: keep the previous attempt's
-    // allocations (plus decoys soaking up the free list) alive so every
-    // buffer in the next attempt lands on fresh pages. Best attempt wins;
-    // each roll is logged, nothing is silently dropped.
-    let mut graveyard: Vec<Vec<TransientSimulator>> = Vec::new();
-    let mut decoys: Vec<Vec<f64>> = Vec::new();
-    let mut kernel_points: Vec<BatchPoint> = Vec::new();
-    let mut speedup_at_batch_64 = 0.0;
-    for attempt in 1..=3 {
-        // One simulator pool per attempt (see `batched_composite_seconds`
-        // for why the allocations must persist across passes).
-        let mut sims: Vec<TransientSimulator> =
-            systems.iter().map(|s| s.transient().clone()).collect();
-        let points = width_sweep(config.chip_count, reps, |width| {
-            batched_composite_seconds(&systems, &workloads, &powers, &mut sims, horizon, width)
-        });
-        let speedup = points
-            .iter()
-            .find(|p| p.batch == 64)
-            .map_or(1.0, |p| p.throughput_vs_serial);
-        if speedup > speedup_at_batch_64 {
-            speedup_at_batch_64 = speedup;
-            kernel_points = points;
-        }
-        if speedup_at_batch_64 >= 1.5 {
-            break;
-        }
-        println!(
-            "    kernel sweep attempt {attempt}: {speedup:.2}x at batch 64 — re-rolling \
-             allocations (physical cache-set collision)"
-        );
-        graveyard.push(sims);
-        for _ in 0..4 {
-            decoys.push(vec![0.0; 32 * 1024]);
-        }
-    }
-    drop(graveyard);
-    drop(decoys);
-    let end_to_end_points = width_sweep(config.chip_count * epochs, reps, |width| {
-        batched_epochs_seconds(&systems, &config, width)
-    });
-    let batch64_gate_ok = speedup_at_batch_64 >= 1.5;
-    let speedup_at_batch_8 = kernel_points
-        .iter()
-        .find(|p| p.batch == 8)
-        .map_or(1.0, |p| p.throughput_vs_serial);
-
-    println!(
-        "  batched kernels ({} chips, decision + {window_steps}-step window, \
-         widths 1/8/64):",
-        config.chip_count
-    );
-    for p in &kernel_points {
-        println!(
-            "    kernel batch {:2}: {:7.3} s  ({:.3} ms/chip, {:.2}x vs serial)",
-            p.batch,
-            p.wall_seconds,
-            p.per_chip_unit_seconds * 1e3,
-            p.throughput_vs_serial
-        );
-    }
-    for p in &end_to_end_points {
-        println!(
-            "    epoch  batch {:2}: {:7.3} s  ({:.3} ms/chip-epoch, {:.2}x vs serial, \
-             not gated)",
-            p.batch,
-            p.wall_seconds,
-            p.per_chip_unit_seconds * 1e3,
-            p.throughput_vs_serial
-        );
-    }
-    assert!(
-        batch64_gate_ok,
-        "the batch-64 decision+thermal kernel composite must deliver at least 1.5x the \
-         serial per-chip throughput, measured {speedup_at_batch_64:.2}x"
-    );
-
-    BatchedKernels {
-        config: "64 paper chips; kernel composite = 1 Hayat decision + 2 s window of \
-                 6.6 ms backward-Euler steps per chip; end-to-end = quick_demo epochs \
-                 (0.5 years in 0.25-year epochs, 0.3 s window)"
-            .to_owned(),
-        chips: config.chip_count,
-        window_steps,
-        kernel_points,
-        epochs_per_run: epochs,
-        end_to_end_points,
-        speedup_at_batch_64,
-        batch64_gate_ok,
-        speedup_at_batch_8,
-        batch8_note: "BENCH_7 measured ~0.8x at batch 8: the multi-RHS banded solve applied \
-                      factor columns scatter-style, re-loading and re-storing every pending \
-                      lane row once per column — store-forward bound and per-column-overhead \
-                      bound at small widths, only amortizing past ~16 lanes. Fixed widths \
-                      (2/4/8/16/32/64) now dispatch to a gather-form traversal that keeps \
-                      each row's lanes in a register accumulator and stores once, applying \
-                      the same per-lane mul_add chain so results stay bit-identical; batch 8 \
-                      clears serial again."
-            .to_owned(),
     }
 }
 
@@ -1138,7 +792,7 @@ fn main() {
         });
 
     hayat_bench::section(&format!(
-        "BENCH_9 perf trajectory + decision path + observability + batching + scheduler \
+        "BENCH_9 perf trajectory + decision path + observability + scheduler \
          + large floorplans ({} mode, release build)",
         if fast { "fast" } else { "full" }
     ));
@@ -1147,7 +801,6 @@ fn main() {
     let scheduler = scheduler_section(fast);
     let decision = decision_path(fast);
     let observability = observability_overhead(fast);
-    let batched = batched_kernels(fast);
     let floorplans = large_floorplan(!fast);
 
     let report = Bench9 {
@@ -1159,7 +812,6 @@ fn main() {
         scheduler,
         decision_path: decision,
         observability,
-        batched_kernels: batched,
         large_floorplan: floorplans,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
-    Batch, Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, ProgressOptions, RunMetrics,
+    Campaign, CampaignResult, DynError, FleetAccumulator, Jobs, ProgressOptions, RunMetrics,
     SimulationConfig,
 };
 use hayat_checkpoint::{CheckpointError, FailPoint, ShardedCheckpointer};
@@ -66,7 +66,6 @@ struct Args {
     every: Option<usize>,
     resume_path: Option<String>,
     jobs: Jobs,
-    batch: Batch,
     fleet: Option<usize>,
     run_format_path: Option<String>,
     export_json_path: Option<String>,
@@ -79,7 +78,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: campaign [--dark F] [--chips N] [--years Y] [--epoch Y] \
          [--window S] [--seed N] [--mesh N] [--floorplan RxC] \
-         [--jobs N|auto] [--batch N] \
+         [--jobs N|auto] \
          [--policies vaa,hayat,coolest,random] [--csv DIR] [--json FILE] \
          [--telemetry FILE.jsonl] [--fleet-stats FILE.json] \
          [--progress SECS] [--progress-jsonl FILE.jsonl] \
@@ -99,10 +98,6 @@ fn usage() -> ! {
          Workers claim work from one shared cursor in canonical order. \
          The HAYAT_JOBS environment variable sets the default; the flag \
          overrides it. \
-         --batch runs N consecutive chips in lockstep per worker claim \
-         through the batched SoA thermal/policy kernels (default 1); like \
-         --jobs it is a pure execution knob — output is byte-identical for \
-         every width. \
          --floorplan RxC simulates an R-row × C-column core mesh (e.g. \
          32x32 or 16x64; overrides --mesh, which stays as the square \
          shorthand). \
@@ -197,7 +192,6 @@ fn parse_args() -> Args {
         every: None,
         resume_path: None,
         jobs: or_exit(Jobs::from_env),
-        batch: Batch::serial(),
         fleet: None,
         run_format_path: None,
         export_json_path: None,
@@ -240,12 +234,6 @@ fn parse_args() -> Args {
             "--resume" => args.resume_path = Some(value("--resume")),
             "--jobs" => {
                 args.jobs = value("--jobs").parse().unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    usage()
-                });
-            }
-            "--batch" => {
-                args.batch = value("--batch").parse().unwrap_or_else(|msg| {
                     eprintln!("{msg}");
                     usage()
                 });
@@ -587,9 +575,7 @@ fn main() {
     }
     config.assert_valid();
 
-    let campaign = Campaign::new(config)
-        .expect("configuration is valid")
-        .with_batch(args.batch);
+    let campaign = Campaign::new(config).expect("configuration is valid");
     if let Some((kind, chip)) = args.replay {
         replay_run(&campaign, kind, chip);
         return;
@@ -598,7 +584,7 @@ fn main() {
     let config = campaign.config();
     println!(
         "campaign: {}x{} mesh, {} chips{}, {:.0}% dark, {} years in {}-year epochs, \
-         policies {:?}, {} jobs, batch {}",
+         policies {:?}, {} jobs",
         config.mesh.0,
         config.mesh.1,
         config.chip_count,
@@ -611,8 +597,7 @@ fn main() {
         config.years,
         config.epoch_years,
         args.policies,
-        args.jobs,
-        args.batch
+        args.jobs
     );
     let recorder = args
         .telemetry_path

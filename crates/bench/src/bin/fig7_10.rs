@@ -17,10 +17,8 @@
 //!
 //! `--jobs N|auto` (default `auto` = available parallelism) runs the
 //! campaign grid on N worker threads, which claim work from one shared
-//! cursor; `--batch N` runs N consecutive chips in lockstep per worker claim
-//! through the batched SoA kernels. Both are pure execution knobs with
-//! byte-identical output. The `HAYAT_JOBS` environment variable sets the
-//! `--jobs` default; the flag overrides it.
+//! cursor; output is byte-identical for every value. The `HAYAT_JOBS`
+//! environment variable sets the `--jobs` default; the flag overrides it.
 //!
 //! `--floorplan RxC` swaps the paper's 8×8 die for an R-row × C-column
 //! mesh (e.g. `32x32`) to exercise the large-floorplan decision path.
@@ -45,7 +43,7 @@
 use std::sync::{Arc, Mutex};
 
 use hayat::sim::campaign::PolicyKind;
-use hayat::{Batch, Campaign, CampaignSummary, FleetAccumulator, Jobs, SimulationConfig};
+use hayat::{Campaign, CampaignSummary, FleetAccumulator, Jobs, SimulationConfig};
 use hayat_bench::{bar_row, parse_every, section};
 use hayat_checkpoint::{FailPoint, ShardedCheckpointer};
 use hayat_telemetry::{JsonlRecorder, NullRecorder, Recorder};
@@ -59,7 +57,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--resume",
     "--every",
     "--jobs",
-    "--batch",
     "--floorplan",
 ];
 
@@ -140,15 +137,6 @@ fn main() {
             || Jobs::from_env().unwrap_or_else(|e| exit_on_err(e)),
             |v| v.parse().unwrap_or_else(|e| exit_on_err(e)),
         );
-    // Batched lockstep execution (parity with the campaign driver): a pure
-    // execution knob, byte-identical output for every width.
-    let batch = args
-        .iter()
-        .position(|a| a == "--batch")
-        .and_then(|i| args.get(i + 1))
-        .map_or(Batch::serial(), |v| {
-            v.parse().unwrap_or_else(|e| exit_on_err(e))
-        });
     // Optional mesh override, e.g. --floorplan 32x32 or 16x64.
     let floorplan = args
         .iter()
@@ -180,9 +168,7 @@ fn main() {
         if let Some(mesh) = floorplan {
             config.mesh = mesh;
         }
-        let campaign = Campaign::new(config)
-            .expect("paper configuration is valid")
-            .with_batch(batch);
+        let campaign = Campaign::new(config).expect("paper configuration is valid");
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
         let fleet = fleet_stem
             .as_ref()

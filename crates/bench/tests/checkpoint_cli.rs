@@ -217,20 +217,25 @@ fn retired_flags() -> [String; 2] {
     ["table", "search"].map(|knob| format!("--{knob}-path"))
 }
 
-/// The two retired scheduler flags with the values they used to take:
-/// work stealing and core pinning.
-const RETIRED_SCHEDULER_FLAGS: [[&str; 2]; 2] = [["--schedule", "steal"], ["--pin", "cores"]];
+/// The retired execution flags with the values they used to take: work
+/// stealing, core pinning and the lockstep batch width.
+const RETIRED_EXECUTION_FLAGS: [[&str; 2]; 3] = [
+    ["--schedule", "steal"],
+    ["--pin", "cores"],
+    ["--batch", "8"],
+];
 
 #[test]
 fn fig7_10_refuses_unknown_and_retired_flags_in_one_line() {
     let [table, search] = retired_flags();
-    let [[schedule, steal], [pin, cores]] = RETIRED_SCHEDULER_FLAGS;
-    let cases: [&[&str]; 6] = [
+    let [[schedule, steal], [pin, cores], [batch, width]] = RETIRED_EXECUTION_FLAGS;
+    let cases: [&[&str]; 7] = [
         &["--quick", "--bogus-flag", "7"],
         &["--quick", search.as_str(), "exhaustive"],
         &["--quick", table.as_str(), "oracle"],
         &["--quick", schedule, steal],
         &["--quick", pin, cores],
+        &["--quick", batch, width],
         &["--quick", "--jobs"],
     ];
     for args in cases {
@@ -257,8 +262,8 @@ fn fig7_10_refuses_a_missing_json_directory_before_running() {
 #[test]
 fn campaign_refuses_the_retired_oracle_flags() {
     let oracle_flags = retired_flags().map(|flag| [flag, "fast".to_owned()]);
-    let scheduler_flags = RETIRED_SCHEDULER_FLAGS.map(|pair| pair.map(str::to_owned));
-    for args in oracle_flags.iter().chain(&scheduler_flags) {
+    let execution_flags = RETIRED_EXECUTION_FLAGS.map(|pair| pair.map(str::to_owned));
+    for args in oracle_flags.iter().chain(&execution_flags) {
         let out = campaign_cmd()
             .args(args)
             .output()

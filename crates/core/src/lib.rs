@@ -69,9 +69,10 @@ pub use crate::policy::vaa::VaaPolicy;
 pub use crate::policy::{
     power_vector, predict_mapping_temperatures, Policy, PolicyContext, PolicyScratch,
 };
-pub use crate::sim::batch::ChipBatch;
 pub use crate::sim::campaign::{Campaign, CampaignResult, CampaignSummary, PolicyKind};
-pub use crate::sim::config::{Batch, Jobs, SimulationConfig};
+#[doc(hidden)]
+pub use crate::sim::config::Batch;
+pub use crate::sim::config::{Jobs, SimulationConfig};
 pub use crate::sim::engine::SimulationEngine;
 pub use crate::sim::executor::{
     DynError, ExecutorError, ExecutorOptions, GateSite, InFlightState, ProgressFrame,

@@ -123,18 +123,18 @@ impl Campaign {
         &self.config
     }
 
-    /// Chips per worker claim ([`Batch::serial`] — one chip — by default).
-    #[must_use]
-    pub const fn batch(&self) -> Batch {
+    /// Descriptors per worker claim (one by default).
+    pub(crate) const fn batch(&self) -> Batch {
         self.batch
     }
 
-    /// Selects the batched execution width: every worker claim pulls this
-    /// many consecutive canonical-order chips and runs them in lockstep
-    /// through the structure-of-arrays epoch loop. Like `--jobs`, a pure
-    /// execution knob — output is byte-identical to `--batch 1` for any
-    /// width (a CI cmp gate holds it to that), so it lives outside
-    /// [`SimulationConfig`] and never enters a checkpoint's config hash.
+    /// Sets the claim width: every worker claim pulls this many consecutive
+    /// canonical-order runs and runs them one after another. It only
+    /// changes how work is handed out — output is byte-identical at every
+    /// width — so it lives outside [`SimulationConfig`] and never enters a
+    /// checkpoint's config hash. Kept for tests and benchmark harnesses
+    /// that pin a claim width; no binary exposes it.
+    #[doc(hidden)]
     #[must_use]
     pub fn with_batch(mut self, batch: Batch) -> Self {
         self.batch = batch;
@@ -603,10 +603,10 @@ mod tests {
 
     #[test]
     fn batched_execution_reproduces_the_serial_campaign_exactly() {
-        // `--batch` is a pure execution knob: lockstep lanes preserve every
-        // chip's FP op order, so any width must reproduce the serial bytes.
-        // The reference is `run_one`, which drives `SimulationEngine::run`
-        // directly and never enters the executor's claim path.
+        // The claim width only changes how runs are handed to workers, so
+        // any width must reproduce the serial bytes. The reference is
+        // `run_one`, which drives `SimulationEngine::run` directly and never
+        // enters the executor's claim path.
         let policies = [PolicyKind::Vaa, PolicyKind::Hayat];
         let c = tiny_campaign();
         let serial: Vec<RunMetrics> = policies
@@ -615,10 +615,10 @@ mod tests {
             .map(|(kind, chip)| c.run_one(kind, chip))
             .collect();
         for width in [1, 2, 3, 64] {
-            let batched = tiny_campaign()
+            let claimed = tiny_campaign()
                 .with_batch(Batch::new(width).unwrap())
                 .run_with_jobs(&policies, Jobs::serial());
-            assert_eq!(serial, batched.runs, "batch width {width} drifted");
+            assert_eq!(serial, claimed.runs, "claim width {width} drifted");
         }
     }
 

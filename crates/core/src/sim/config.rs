@@ -306,60 +306,36 @@ impl std::str::FromStr for Jobs {
     }
 }
 
-/// Chips per worker claim (the `--batch` flag): each claim pulls this many
-/// *consecutive canonical-order* chips and runs them in lockstep through
-/// `ChipBatch`, the executor's one claim path. An epoch with a single
-/// active lane (every epoch at width 1) runs the scalar engine epoch; two
-/// or more lanes share the structure-of-arrays thermal solve.
+/// Runs per worker claim, set through the hidden [`Campaign::with_batch`]
+/// and one by default. A worker runs a claim's runs one after another.
 ///
 /// Like [`Jobs`], deliberately *not* a field of [`SimulationConfig`]: the
-/// batch width is a pure execution knob that must never influence results
-/// (output is byte-identical for any width) or checkpoint compatibility,
-/// so a run may be started with one width and resumed with another.
+/// claim width never influences results (output is byte-identical for any
+/// width) or checkpoint compatibility, so a run may be started with one
+/// width and resumed with another.
+///
+/// [`Campaign::with_batch`]: crate::sim::campaign::Campaign::with_batch
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Batch(std::num::NonZeroUsize);
 
 impl Batch {
-    /// One chip per claim: every epoch runs the scalar engine epoch.
+    /// One run per claim.
     #[must_use]
     pub const fn serial() -> Self {
         Batch(std::num::NonZeroUsize::MIN)
     }
 
-    /// A specific batch width; `None` when `width` is zero.
+    /// A specific claim width; `None` when `width` is zero.
     #[must_use]
     pub fn new(width: usize) -> Option<Self> {
         std::num::NonZeroUsize::new(width).map(Batch)
     }
 
-    /// The batch width.
+    /// The claim width.
     #[must_use]
     pub const fn get(self) -> usize {
         self.0.get()
-    }
-}
-
-impl Default for Batch {
-    fn default() -> Self {
-        Batch::serial()
-    }
-}
-
-impl std::fmt::Display for Batch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::str::FromStr for Batch {
-    type Err = String;
-
-    /// Parses the `--batch` flag: a positive integer.
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        text.parse::<usize>()
-            .ok()
-            .and_then(Batch::new)
-            .ok_or_else(|| format!("--batch wants a positive integer, got '{text}'"))
     }
 }
 

@@ -11,7 +11,6 @@ use crate::sim::window::WindowAccum;
 use crate::system::ChipSystem;
 use hayat_floorplan::CoreId;
 use hayat_telemetry::{NullRecorder, Recorder, RecorderExt, SpanContext};
-use hayat_thermal::BatchLane;
 use hayat_units::{Watts, Years};
 use hayat_workload::WorkloadMix;
 use std::cell::RefCell;
@@ -261,67 +260,33 @@ impl SimulationEngine {
         Ok(())
     }
 
-    /// Runs a single epoch (public so benches can time one decision+window).
-    ///
-    /// The epoch is composed from the crate-visible phase helpers
-    /// (`epoch_decide` → per-step `window_power_step` / thermal advance /
-    /// `window_absorb_step` → `epoch_finish`) so the batched executor can
-    /// interleave N chips through the same per-chip call sequence — the
-    /// serial path here remains byte-identical to the pre-split engine.
+    /// Runs a single epoch (public so benches can time one decision+window):
+    /// the decision, then the transient window's control periods (each a
+    /// DTM/power step, one thermal step and a statistics fold), then the
+    /// upscale.
     pub fn run_epoch(&mut self, epoch: usize) -> EpochRecord {
         let recorder = Arc::clone(&self.recorder);
         if recorder.enabled() {
             recorder.set_context(self.context.with_epoch(epoch as u64));
         }
         let _epoch_span = recorder.span("engine.epoch");
-        let mut decision = self.epoch_decide(epoch, None);
+        let mut decision = self.epoch_decide(epoch);
         let steps = self.window_begin(&decision.workload);
         let dt = self.config.control_period();
         for step in 0..steps {
-            self.window_power_step(step, &mut decision);
+            self.control_power(step, &mut decision);
             self.system
                 .transient_mut()
                 .step_recorded(dt, &self.power, recorder.as_ref());
-            self.window_absorb_step();
+            self.window.absorb(self.system.transient().core_temps());
         }
-        self.epoch_finish(epoch, decision, None)
-    }
-
-    /// This chip's lane of a batched thermal step: its transient simulator
-    /// and the power vector the last `window_power_step` filled.
-    pub(crate) fn thermal_lane(&mut self) -> BatchLane<'_> {
-        BatchLane {
-            sim: self.system.transient_mut(),
-            power: &self.power,
-        }
-    }
-
-    /// The engine's telemetry sink (shared with the batched executor).
-    pub(crate) const fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.recorder
-    }
-
-    /// The base causal context assigned by the executor.
-    pub(crate) const fn span_context(&self) -> SpanContext {
-        self.context
-    }
-
-    /// The configuration this engine runs under.
-    pub(crate) const fn config(&self) -> &SimulationConfig {
-        &self.config
+        self.epoch_finish(epoch, decision)
     }
 
     /// Phase 1 — the decision at the epoch boundary. With sensors
     /// configured, the policy sees the aging monitors' *reading* of the
-    /// health map rather than ground truth. `shared` substitutes a
-    /// batch-shared [`PolicyScratch`] for the engine's own (the scratch is
-    /// a pure cache, so sharing it across serially-decided chips cannot
-    /// change any decision).
-    pub(crate) fn epoch_decide(
-        &mut self,
-        epoch: usize,
-        shared: Option<&RefCell<PolicyScratch>>,
-    ) -> EpochDecision {
+    /// health map rather than ground truth.
+    fn epoch_decide(&mut self, epoch: usize) -> EpochDecision {
         let recorder = Arc::clone(&self.recorder);
         let elapsed = Years::new(epoch as f64 * self.config.epoch_years);
         let workload = self.mixes[epoch % self.mixes.len()].clone();
@@ -337,7 +302,7 @@ impl SimulationEngine {
                 elapsed,
             )
             .with_recorder(recorder.as_ref())
-            .with_scratch(shared.unwrap_or(&self.scratch));
+            .with_scratch(&self.scratch);
             self.policy.map_threads(&ctx, &workload)
         };
         drop(sensed_system);
@@ -355,7 +320,7 @@ impl SimulationEngine {
     /// Phase 2 entry — resets the engine's transient window for one epoch,
     /// seeded from the current thermal state, and returns its number of
     /// control periods.
-    pub(crate) fn window_begin(&mut self, workload: &WorkloadMix) -> usize {
+    fn window_begin(&mut self, workload: &WorkloadMix) -> usize {
         let window = self.config.transient_window_seconds;
         let steps = (window / self.config.control_period_seconds)
             .round()
@@ -377,9 +342,8 @@ impl SimulationEngine {
     /// current temperatures, per-core power under the (possibly updated)
     /// mapping — dynamic power follows the thread's phase trace — and
     /// stress/throughput accounting. Fills the engine's power vector for
-    /// the thermal advance the caller performs (serially or batched across
-    /// chips).
-    pub(crate) fn window_power_step(&mut self, step: usize, decision: &mut EpochDecision) {
+    /// the control period's thermal step.
+    fn control_power(&mut self, step: usize, decision: &mut EpochDecision) {
         let now = step as f64 * self.config.control_period_seconds;
         let events = self.dtm.check(
             &self.system,
@@ -402,25 +366,13 @@ impl SimulationEngine {
         );
     }
 
-    /// Phase 2, second half of one control period: folds the post-step
-    /// temperatures into the window statistics.
-    pub(crate) fn window_absorb_step(&mut self) {
-        self.window.absorb(self.system.transient().core_temps());
-    }
-
     /// Phase 3 — the epoch upscale: recycle the mapping, advance every
     /// core's health over the epoch length, emit the DTM counter deltas,
     /// and assemble the [`EpochRecord`].
-    pub(crate) fn epoch_finish(
-        &mut self,
-        epoch: usize,
-        decision: EpochDecision,
-        shared: Option<&RefCell<PolicyScratch>>,
-    ) -> EpochRecord {
+    fn epoch_finish(&mut self, epoch: usize, decision: EpochDecision) -> EpochRecord {
         let recorder = Arc::clone(&self.recorder);
         // Recycle the mapping's buffers into the next decision.
-        shared
-            .unwrap_or(&self.scratch)
+        self.scratch
             .borrow_mut()
             .mapping_pool
             .push(decision.mapping);
@@ -470,14 +422,13 @@ impl SimulationEngine {
     }
 }
 
-/// The outcome of one epoch-boundary decision ([`SimulationEngine::epoch_decide`]):
-/// the mapping the window runs under plus the bookkeeping `epoch_finish`
-/// needs.
-pub(crate) struct EpochDecision {
+/// The outcome of one epoch-boundary decision: the mapping the window runs
+/// under plus the bookkeeping `epoch_finish` needs.
+struct EpochDecision {
     /// The thread mapping (mutable — DTM migrates during the window).
-    pub(crate) mapping: ThreadMapping,
+    mapping: ThreadMapping,
     /// The epoch's workload mix.
-    pub(crate) workload: WorkloadMix,
+    workload: WorkloadMix,
     /// Threads the policy could not place.
     unplaced_threads: usize,
     /// DTM counter baselines for the epoch's deltas.
@@ -652,7 +603,7 @@ mod tests {
         // stays cool. The cached per-core load must match a recompute at
         // every step, bit for bit.
         let mut e = engine(Box::<HayatPolicy>::default());
-        let mut decision = e.epoch_decide(0, None);
+        let mut decision = e.epoch_decide(0);
         let steps = e.window_begin(&decision.workload);
         assert!(steps >= 3);
         let hot = decision.mapping.active().next().expect("an active core");
@@ -665,7 +616,7 @@ mod tests {
         let expected_factor = [0.8, 1.0, 1.0];
         for (step, temps) in script.into_iter().enumerate() {
             e.window.current = temps;
-            e.window_power_step(step, &mut decision);
+            e.control_power(step, &mut decision);
             assert_eq!(e.dtm().throttle_factor(hot), expected_factor[step]);
             let now = step as f64 * e.config.control_period_seconds;
             let want = recomputed_power(&e, &decision, now);

@@ -6,10 +6,12 @@
 //! 2 policies × 2 dark budgets) parallelizes perfectly. This module supplies
 //! the one shared engine for that fan-out:
 //!
-//! * **Work queue** — workers pull batch-granular claims from one shared
+//! * **Work queue** — workers pull claims of consecutive descriptors (one
+//!   descriptor wide unless the campaign sets a wider claim) from one shared
 //!   [`AtomicUsize`] cursor; `fetch_add` hands claims out in canonical order,
 //!   so no claim is ever run twice and an idle worker always takes the next
-//!   unstarted one.
+//!   unstarted one. A worker runs its claim's descriptors one after another
+//!   through [`SimulationEngine::run_epoch`], one live engine at a time.
 //! * **Owner-thread merge** — workers publish [`RunUpdate`]s over a channel
 //!   to the *calling* thread, which owns the single mutable sink (the
 //!   in-memory result vector, or the [`ShardedCheckpointer`] in
@@ -30,7 +32,6 @@
 //! [`ShardedCheckpointer`]: ../../../hayat_checkpoint/struct.ShardedCheckpointer.html
 
 use crate::metrics::RunMetrics;
-use crate::sim::batch::ChipBatch;
 use crate::sim::campaign::{Campaign, PolicyKind};
 use crate::sim::engine::SimulationEngine;
 use crate::sim::snapshot::EngineSnapshot;
@@ -345,10 +346,10 @@ impl Campaign {
         };
         let null: Arc<dyn Recorder> = Arc::new(NullRecorder);
 
-        // Each claim pulls `batch` consecutive canonical-order descriptors
+        // Each claim pulls `width` consecutive canonical-order descriptors
         // (the last claim may be narrower), handed out by one shared cursor.
-        let batch = self.batch().get();
-        let claims = descriptors.len().div_ceil(batch);
+        let width = self.batch().get();
+        let claims = descriptors.len().div_ceil(width);
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let failure = FailureSlot(Mutex::new(None));
@@ -369,31 +370,32 @@ impl Campaign {
                     });
                     let worker_span = worker_recorder.span("campaign.worker");
                     let mut busy = Duration::ZERO;
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
+                    'claims: loop {
                         let claim_id = cursor.fetch_add(1, Ordering::Relaxed);
                         if claim_id >= claims {
                             break;
                         }
-                        let start = claim_id * batch;
-                        let end = (start + batch).min(descriptors.len());
-                        let claim = &descriptors[start..end];
-                        let began = Instant::now();
-                        let outcome = self.run_claim(
-                            claim,
-                            in_flight,
-                            options,
-                            &worker_recorder,
-                            worker,
-                            stop,
-                            &tx,
-                        );
-                        busy += began.elapsed();
-                        if let Err((index, error)) = outcome {
-                            failure.record(index, error, stop);
-                            break;
+                        let start = claim_id * width;
+                        let end = (start + width).min(descriptors.len());
+                        for descriptor in &descriptors[start..end] {
+                            if stop.load(Ordering::Relaxed) {
+                                break 'claims;
+                            }
+                            let began = Instant::now();
+                            let outcome = self.run_descriptor(
+                                descriptor,
+                                in_flight,
+                                options,
+                                &worker_recorder,
+                                worker,
+                                stop,
+                                &tx,
+                            );
+                            busy += began.elapsed();
+                            if let Err((index, error)) = outcome {
+                                failure.record(index, error, stop);
+                                break 'claims;
+                            }
                         }
                     }
                     // Wall-clock compute time per worker: the utilization
@@ -452,18 +454,16 @@ impl Campaign {
         }
     }
 
-    /// Runs one claim of any width through a [`ChipBatch`] (or until `stop`
-    /// is raised), translating panics and gate refusals into
-    /// [`ExecutorError`]s. Every lane performs exactly the call sequence of
-    /// a serial run — per epoch the [`SimulationEngine::run_epoch`]
-    /// decision, window steps and upscale, then the snapshot cadence, and
-    /// finally completion — so merged campaign output is byte-identical at
-    /// every batch width. Errors carry the descriptor index they surfaced
-    /// on, for the deterministic failure slot.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-    fn run_claim(
+    /// Runs one descriptor from its run gate to completion (or until `stop`
+    /// is raised), translating panics and gate or restore refusals into
+    /// [`ExecutorError`]s. Per epoch: the epoch gate, one
+    /// [`SimulationEngine::run_epoch`], then the snapshot cadence; finally
+    /// completion. Errors carry the descriptor's index, for the
+    /// deterministic failure slot.
+    #[allow(clippy::too_many_arguments)]
+    fn run_descriptor(
         &self,
-        claim: &[RunDescriptor],
+        descriptor: &RunDescriptor,
         in_flight: &Mutex<Option<InFlightState>>,
         options: &ExecutorOptions<'_>,
         recorder: &Arc<dyn Recorder>,
@@ -471,113 +471,86 @@ impl Campaign {
         stop: &AtomicBool,
         tx: &Sender<RunUpdate>,
     ) -> Result<(), (usize, ExecutorError)> {
-        let gate = |site: GateSite, descriptor: &RunDescriptor| match options.gate {
-            Some(gate) => gate(site, descriptor).map_err(|source| {
-                (
-                    descriptor.index,
-                    ExecutorError::RunAborted {
-                        kind: descriptor.kind,
-                        chip: descriptor.chip,
-                        source,
-                    },
-                )
-            }),
+        let aborted = |source: DynError| {
+            (
+                descriptor.index,
+                ExecutorError::RunAborted {
+                    kind: descriptor.kind,
+                    chip: descriptor.chip,
+                    source,
+                },
+            )
+        };
+        let gate = |site: GateSite| match options.gate {
+            Some(gate) => gate(site, descriptor).map_err(aborted),
             None => Ok(()),
         };
         let body = catch_unwind(AssertUnwindSafe(
             || -> Result<(), (usize, ExecutorError)> {
-                let mut engines = Vec::with_capacity(claim.len());
-                let mut starts = Vec::with_capacity(claim.len());
-                let mut metrics: Vec<RunMetrics> = Vec::with_capacity(claim.len());
-                let mut spans = Vec::with_capacity(claim.len());
-                for descriptor in claim {
-                    gate(GateSite::Run, descriptor)?;
-                    let run_ctx = SpanContext {
-                        run: Some(descriptor.index as u64),
-                        chip: Some(descriptor.chip as u64),
-                        epoch: None,
-                        worker: Some(worker as u64),
-                    };
-                    recorder.set_context(run_ctx);
-                    spans.push(recorder.span("campaign.chip"));
-                    let system = self.system_for(descriptor.chip);
-                    let policy = descriptor
-                        .kind
-                        .instantiate(self.config().workload_seed ^ descriptor.chip as u64);
-                    let mut engine = SimulationEngine::new(system, policy, self.config())
-                        .with_recorder(Arc::clone(recorder))
-                        .with_span_context(run_ctx);
-                    let resume = {
-                        let mut slot = in_flight.lock().expect("in-flight lock");
-                        if slot.as_ref().is_some_and(|s| s.index == descriptor.index) {
-                            slot.take()
-                        } else {
-                            None
-                        }
-                    };
-                    let (run_metrics, start_epoch) = match resume {
-                        Some(state) => {
-                            engine.restore(&state.snapshot).map_err(|source| {
-                                (
-                                    descriptor.index,
-                                    ExecutorError::RunAborted {
-                                        kind: descriptor.kind,
-                                        chip: descriptor.chip,
-                                        source: Box::new(source),
-                                    },
-                                )
-                            })?;
-                            (state.partial, state.snapshot.next_epoch)
-                        }
-                        None => (engine.start_metrics(), 0),
-                    };
-                    engines.push(engine);
-                    starts.push(start_epoch);
-                    metrics.push(run_metrics);
-                }
-
-                let mut chips = ChipBatch::with_start_epochs(engines, starts.clone());
+                gate(GateSite::Run)?;
+                let run_ctx = SpanContext {
+                    run: Some(descriptor.index as u64),
+                    chip: Some(descriptor.chip as u64),
+                    epoch: None,
+                    worker: Some(worker as u64),
+                };
+                recorder.set_context(run_ctx);
+                let span = recorder.span("campaign.chip");
+                let system = self.system_for(descriptor.chip);
+                let policy = descriptor
+                    .kind
+                    .instantiate(self.config().workload_seed ^ descriptor.chip as u64);
+                let mut engine = SimulationEngine::new(system, policy, self.config())
+                    .with_recorder(Arc::clone(recorder))
+                    .with_span_context(run_ctx);
+                let resume = {
+                    let mut slot = in_flight.lock().expect("in-flight lock");
+                    if slot.as_ref().is_some_and(|s| s.index == descriptor.index) {
+                        slot.take()
+                    } else {
+                        None
+                    }
+                };
+                let (mut metrics, start_epoch) = match resume {
+                    Some(state) => {
+                        engine
+                            .restore(&state.snapshot)
+                            .map_err(|source| aborted(Box::new(source)))?;
+                        (state.partial, state.snapshot.next_epoch)
+                    }
+                    None => (engine.start_metrics(), 0),
+                };
                 let epoch_count = self.config().epoch_count();
-                for epoch in 0..epoch_count {
+                for epoch in start_epoch..epoch_count {
                     if stop.load(Ordering::Relaxed) {
-                        for span in spans.drain(..) {
-                            span.cancel(); // abandoned: someone else failed
-                        }
+                        span.cancel(); // abandoned: someone else failed
                         return Ok(());
                     }
-                    for (lane, descriptor) in claim.iter().enumerate() {
-                        if starts[lane] <= epoch {
-                            gate(GateSite::Epoch, descriptor)?;
-                        }
-                    }
-                    for (lane, record) in chips.run_epoch(epoch) {
-                        metrics[lane].epochs.push(record);
-                        let done = epoch + 1;
-                        if let Some(every) = options.snapshot_every {
-                            if done < epoch_count && done % every.max(1) == 0 {
-                                let _ = tx.send(RunUpdate::Progress {
-                                    index: claim[lane].index,
-                                    partial: metrics[lane].clone(),
-                                    snapshot: Box::new(chips.engine(lane).snapshot(done)),
-                                });
-                            }
+                    gate(GateSite::Epoch)?;
+                    metrics.epochs.push(engine.run_epoch(epoch));
+                    let done = epoch + 1;
+                    if let Some(every) = options.snapshot_every {
+                        if done < epoch_count && done % every.max(1) == 0 {
+                            let _ = tx.send(RunUpdate::Progress {
+                                index: descriptor.index,
+                                partial: metrics.clone(),
+                                snapshot: Box::new(engine.snapshot(done)),
+                            });
                         }
                     }
                 }
-                for ((lane, descriptor), mut run_metrics) in claim.iter().enumerate().zip(metrics) {
-                    chips.engine(lane).finalize_metrics(&mut run_metrics);
-                    recorder.counter("campaign.runs_completed", 1);
-                    let _ = tx.send(RunUpdate::Completed {
-                        index: descriptor.index,
-                        metrics: Box::new(run_metrics),
-                    });
-                }
+                engine.finalize_metrics(&mut metrics);
+                recorder.counter("campaign.runs_completed", 1);
+                let _ = tx.send(RunUpdate::Completed {
+                    index: descriptor.index,
+                    metrics: Box::new(metrics),
+                });
                 Ok(())
             },
         ));
 
         // Back to worker-only context whatever happened, so signals between
-        // claims (and the worker span itself) never carry a stale run tag.
+        // runs (and the worker span itself) never carry a stale run tag.
         recorder.set_context(SpanContext {
             worker: Some(worker as u64),
             ..SpanContext::default()
@@ -585,10 +558,10 @@ impl Campaign {
         match body {
             Ok(run_result) => run_result,
             Err(payload) => Err((
-                claim[0].index,
+                descriptor.index,
                 ExecutorError::WorkerPanic {
-                    kind: claim[0].kind,
-                    chip: claim[0].chip,
+                    kind: descriptor.kind,
+                    chip: descriptor.chip,
                     message: panic_message(payload.as_ref()),
                 },
             )),

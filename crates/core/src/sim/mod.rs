@@ -1,6 +1,5 @@
 //! The accelerated-aging simulation machinery (Fig. 4).
 
-pub mod batch;
 pub mod campaign;
 pub mod config;
 pub mod engine;

@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batched;
 mod config;
 mod integrator;
 mod model;
@@ -58,7 +57,6 @@ mod rc_model;
 mod steady;
 mod transient;
 
-pub use crate::batched::{BatchLane, BatchedTransient};
 pub use crate::config::ThermalConfig;
 pub use crate::integrator::Integrator;
 pub use crate::model::ThermalModel;

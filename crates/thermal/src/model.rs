@@ -7,7 +7,7 @@ use hayat_floorplan::Floorplan;
 use hayat_linalg::BandedCholeskyFactor;
 use hayat_units::Seconds;
 
-/// Upper bound on the backward-Euler factorizations one stepper caches
+/// Upper bound on the backward-Euler factorizations one simulator caches
 /// beside its model's. Real workloads use one or two distinct step sizes
 /// (the control period, plus possibly a settle window); the cap only
 /// guards against a caller sweeping step sizes.
@@ -150,7 +150,7 @@ impl ThermalModel {
     }
 }
 
-/// A stepper's bounded cache of backward-Euler factorizations for the step
+/// A simulator's bounded cache of backward-Euler factorizations for the step
 /// sizes its model does not carry.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FactorCache {
@@ -196,7 +196,7 @@ mod tests {
         let _ = cache.get(&model, 0.0066);
         assert_eq!(cache.len(), 0, "the model already holds this factor");
         let _ = cache.get(&model, 0.05);
-        assert_eq!(cache.len(), 1, "other step sizes are cached per stepper");
+        assert_eq!(cache.len(), 1, "other step sizes are cached per simulator");
     }
 
     #[test]

@@ -177,24 +177,6 @@ impl TransientSimulator {
         Seconds::new(self.elapsed)
     }
 
-    /// Raw per-node temperatures in network order (cores first).
-    pub(crate) fn node_temps(&self) -> &[f64] {
-        &self.node_temps
-    }
-
-    /// Mutable raw per-node temperatures, for the batched stepper's
-    /// scatter-back after a multi-RHS solve.
-    pub(crate) fn node_temps_mut(&mut self) -> &mut [f64] {
-        &mut self.node_temps
-    }
-
-    /// Advances simulated time without integrating — the batched stepper
-    /// updates temperatures itself and then accounts for the step here,
-    /// matching [`step_recorded`](Self::step_recorded)'s bookkeeping.
-    pub(crate) fn advance_elapsed(&mut self, dt: f64) {
-        self.elapsed += dt;
-    }
-
     /// Advances the thermal state by `dt` under a constant per-core power
     /// vector: one backward-Euler solve under [`Integrator::BackwardEuler`],
     /// or internal subdivision into stable sub-steps under
@@ -705,5 +687,18 @@ mod tests {
                 recorded.temperatures().core(core)
             );
         }
+    }
+
+    #[test]
+    fn sixteen_by_sixteen_grid_steps_above_ambient() {
+        // Larger-floorplan smoke test: a 16×16 mesh builds and one
+        // backward-Euler step heats the silicon above ambient.
+        let fp = Floorplan::grid(16, 16);
+        assert_eq!(fp.core_count(), 256);
+        let cfg = ThermalConfig::paper();
+        let mut sim = TransientSimulator::with_integrator(&fp, &cfg, Integrator::BackwardEuler);
+        let power = vec![Watts::new(4.0); fp.core_count()];
+        sim.step(Seconds::new(0.0066), &power);
+        assert!(sim.temperatures().mean() > sim.ambient());
     }
 }

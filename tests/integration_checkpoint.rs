@@ -184,10 +184,10 @@ fn parallel_checkpointed_run_matches_serial_and_uncheckpointed() {
 
 #[test]
 fn checkpoint_resumes_byte_identical_across_schedule_changes() {
-    // The batch width is not part of the checkpoint: completed runs are
+    // The claim width is not part of the checkpoint: completed runs are
     // keyed by canonical descriptor index, so a 3-wide checkpointed run
     // resumes at width 3 or 1 to the same bytes as an uninterrupted run.
-    // Resuming 3-wide puts the restored lane in one claim with fresh lanes
+    // Resuming 3-wide puts the restored run in one claim with fresh runs
     // that start at epoch 0.
     let policies = [PolicyKind::Hayat, PolicyKind::Vaa];
     let campaign = |batch: usize| {
@@ -197,15 +197,16 @@ fn checkpoint_resumes_byte_identical_across_schedule_changes() {
     };
     let uninterrupted = campaign(1).run(&policies);
 
-    // Batch width of the interrupted run, then of the resumed one. The
-    // 3-wide run fails at epoch hit 8: claim [0, 1, 2] makes three hits per
-    // epoch and claim [3] at most four in all, so descriptor 0 has
-    // finished an epoch and its snapshot is in flight.
-    for (fail_at, from_batch, to_batch) in [(5, 1, 1), (8, 3, 3), (8, 3, 1)] {
+    // Epoch hit to fail at, worker count, then the claim width of the
+    // interrupted run and of the resumed one. Each run has four epochs. The
+    // 3-wide run has one worker, so it steps descriptor 0 (hits 1-4), then
+    // descriptor 1 (hits 5-8): hit 7 fails with descriptor 0 complete and
+    // descriptor 1's snapshot after two epochs in flight.
+    for (fail_at, jobs, from_batch, to_batch) in [(5, 2, 1, 1), (7, 1, 3, 3), (7, 1, 3, 1)] {
         let path = scratch(&format!("sched_{fail_at}_{from_batch}_{to_batch}"));
         let interrupted = ShardedCheckpointer::new(&path)
             .every(1)
-            .jobs(Jobs::new(2).unwrap())
+            .jobs(Jobs::new(jobs).unwrap())
             .with_failpoint(FailPoint::armed(FAILPOINT_EPOCH, fail_at, FailMode::Error))
             .run(&campaign(from_batch), &policies);
         assert!(
@@ -216,9 +217,13 @@ fn checkpoint_resumes_byte_identical_across_schedule_changes() {
             let tail: ShardTail =
                 serde_json::from_str(&std::fs::read_to_string(path.join("tail.json")).unwrap())
                     .unwrap();
-            assert!(
-                tail.in_flight.is_some(),
-                "the batched run must die with a snapshot in flight"
+            let in_flight = tail
+                .in_flight
+                .expect("the run must die with a snapshot in flight");
+            assert_eq!(
+                (tail.completed.len(), in_flight.engine.next_epoch),
+                (1, 2),
+                "descriptor 0 complete, descriptor 1 two epochs in"
             );
         }
 

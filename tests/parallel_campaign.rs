@@ -4,7 +4,8 @@
 //!   (byte-identical JSON) for random small configs and `jobs ∈ {1..8}`;
 //! * a panicking worker surfaces as a campaign error instead of a hang;
 //! * a failing gate aborts the pool with the injected error;
-//! * merged telemetry is scheduling-independent.
+//! * merged telemetry is scheduling-independent, and a wider claim records
+//!   the same per-run spans as one-run claims.
 
 use hayat::sim::campaign::PolicyKind;
 use hayat::{
@@ -75,10 +76,10 @@ proptest! {
         epochs in 1usize..=2,
         seed in 0u64..1000,
     ) {
-        // `--batch` is a pure execution knob, like `--jobs`: random widths
-        // crossed with serial and 4-worker pools must reproduce the
-        // per-chip serial path byte-for-byte — per-run JSON *and* the
-        // folded fleet-statistics JSON.
+        // The claim width only changes how runs are handed to workers, like
+        // `--jobs`: random widths crossed with serial and 4-worker pools
+        // must reproduce one-run claims byte-for-byte — per-run JSON *and*
+        // the folded fleet-statistics JSON.
         let policies = [PolicyKind::Hayat, PolicyKind::Vaa];
         let jobs = [Jobs::serial(), Jobs::new(4).unwrap()][jobs_pick];
 
@@ -147,7 +148,7 @@ fn collect(
 proptest! {
     // Each case runs a serial reference plus a worker pool over a gate
     // that busy-spins a random per-chip cost, so which worker claims which
-    // batch varies case to case while the merged output may not.
+    // runs varies case to case while the merged output may not.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
@@ -408,4 +409,44 @@ fn recorded_parallel_campaign_telemetry_is_scheduling_independent() {
         p.gauge("campaign.worker_busy_seconds").is_some(),
         "worker busy gauge missing"
     );
+}
+
+#[test]
+fn claim_width_keeps_per_run_spans_inside_worker_busy_time() {
+    // One worker runs the same campaign in one-run claims and in one
+    // eight-run claim. Each run steps on its own either way: one
+    // `thermal.transient.step` span per run, epoch and control period, and
+    // the runs' `campaign.chip` spans fit inside the worker's busy time.
+    let config = small_config(4, 2, 0.5, 9);
+    let policies = [PolicyKind::Hayat, PolicyKind::Vaa];
+    let runs = (config.chip_count * policies.len()) as u64;
+    let steps = (config.transient_window_seconds / config.control_period_seconds)
+        .round()
+        .max(1.0) as u64;
+    let expected_steps = runs * config.epoch_count() as u64 * steps;
+    for width in [1, 8] {
+        let recorder = Arc::new(MemoryRecorder::new());
+        Campaign::new(config.clone())
+            .unwrap()
+            .with_batch(Batch::new(width).unwrap())
+            .try_run(&policies, Jobs::serial(), recorder.clone())
+            .unwrap();
+        let summary = recorder.summary();
+        assert_eq!(
+            summary.span("thermal.transient.step").map(|sp| sp.count),
+            Some(expected_steps),
+            "claim width {width}"
+        );
+        let chips = summary.span("campaign.chip").expect("chip spans");
+        assert_eq!(chips.count, runs, "claim width {width}");
+        let busy = summary
+            .gauge("campaign.worker_busy_seconds")
+            .expect("busy gauge")
+            .last;
+        assert!(
+            chips.total_seconds <= busy,
+            "claim width {width}: chip spans {} s exceed worker busy time {busy} s",
+            chips.total_seconds
+        );
+    }
 }
