@@ -27,11 +27,13 @@
 //! other campaign output — byte-identical for any `--jobs` value.
 //!
 //! Every file is written atomically (tmp + fsync + rename). A seal is the
-//! sequence *shard file → cleared tail → manifest*; a crash between any
-//! two steps leaves either a harmless orphan shard (re-written identically
-//! after resume) or an un-accounted sealed segment whose runs simply
-//! re-run deterministically. No interleaving loses committed work beyond
-//! one shard, and no interleaving can double-count a run.
+//! sequence *shard file → cleared tail → manifest*. A crash before the tail
+//! write leaves a harmless orphan shard (re-written identically after
+//! resume). A crash after it leaves a tail that starts past the orphan
+//! shard; loading counts the orphan as sealed. Every loaded run is checked
+//! against its slot in the canonical order, so no interleaving can shift,
+//! drop or double-count a run, and any other mismatch is reported as
+//! corrupt.
 //!
 //! **v1 files.** Earlier builds wrote the whole campaign to one JSON file
 //! (format v1). Resuming a path that is a regular file reads it as v1 and
@@ -151,10 +153,18 @@ impl ShardStore {
     }
 
     /// Loads the directory's durable state for `campaign`: the manifest,
-    /// rewound to zero sealed shards, and a tail holding the whole
-    /// canonical prefix (sealed shards in order, then the tail's runs)
-    /// plus the in-flight snapshot.
-    fn load(&self, campaign: &Campaign) -> Result<(ShardManifest, ShardTail), CheckpointError> {
+    /// the runs of its sealed shards in canonical order, and the tail.
+    ///
+    /// Every run must sit in its canonical slot of the campaign's grid.
+    /// The one tolerated mismatch is a seal interrupted after its tail
+    /// write: the tail then starts past the manifest's count, and the
+    /// uncounted shard files on disk up to it are counted as sealed (more
+    /// than one when an earlier resume counted one and did not yet
+    /// commit it).
+    fn load(
+        &self,
+        campaign: &Campaign,
+    ) -> Result<(ShardManifest, Vec<RunMetrics>, ShardTail), CheckpointError> {
         let mut manifest: ShardManifest = self.load_json(&self.manifest_path())?;
         if manifest.version != SHARD_FORMAT_VERSION {
             return Err(CheckpointError::VersionMismatch {
@@ -168,24 +178,79 @@ impl ShardStore {
                 "manifest declares zero-capacity shards".to_owned(),
             ));
         }
-        let mut prefix: Vec<RunMetrics> = Vec::new();
+        let grid = campaign.grid(&manifest.policies);
+        let mut sealed: Vec<RunMetrics> = Vec::new();
         for shard in 0..manifest.sealed {
-            let runs: Vec<RunMetrics> = self.load_json(&self.shard_path(shard))?;
-            if runs.len() != manifest.shard_runs {
-                return Err(CheckpointError::Corrupt(format!(
-                    "sealed shard {shard} holds {} runs, manifest promises {}",
-                    runs.len(),
-                    manifest.shard_runs
-                )));
-            }
-            prefix.extend(runs);
+            self.load_shard(shard, &manifest, &grid, &mut sealed)?;
         }
-        let mut tail: ShardTail = self.load_json(&self.tail_path())?;
-        prefix.append(&mut tail.completed);
-        tail.completed = prefix;
-        manifest.sealed = 0;
-        Ok((manifest, tail))
+        let tail: ShardTail = self.load_json(&self.tail_path())?;
+        while !starts_at(&tail, &grid, sealed.len()) && self.shard_path(manifest.sealed).is_file() {
+            self.load_shard(manifest.sealed, &manifest, &grid, &mut sealed)?;
+            manifest.sealed += 1;
+        }
+        in_canonical_slots("tail", &tail.completed, &grid, sealed.len())?;
+        Ok((manifest, sealed, tail))
     }
+
+    /// Appends sealed shard `shard` to `sealed` after checking that it is
+    /// full and holds the next runs of `grid`.
+    fn load_shard(
+        &self,
+        shard: usize,
+        manifest: &ShardManifest,
+        grid: &[RunDescriptor],
+        sealed: &mut Vec<RunMetrics>,
+    ) -> Result<(), CheckpointError> {
+        let runs: Vec<RunMetrics> = self.load_json(&self.shard_path(shard))?;
+        if runs.len() != manifest.shard_runs {
+            return Err(CheckpointError::Corrupt(format!(
+                "sealed shard {shard} holds {} runs, manifest promises {}",
+                runs.len(),
+                manifest.shard_runs
+            )));
+        }
+        in_canonical_slots(&format!("shard {shard}"), &runs, grid, sealed.len())?;
+        sealed.extend(runs);
+        Ok(())
+    }
+}
+
+/// Whether `tail` continues the grid at slot `base`: its first run, or with
+/// no runs its in-flight snapshot, belongs there. An empty tail fits
+/// anywhere.
+fn starts_at(tail: &ShardTail, grid: &[RunDescriptor], base: usize) -> bool {
+    let slot = grid.get(base).map(|d| (d.kind, d.chip));
+    match (tail.completed.first(), &tail.in_flight) {
+        (Some(run), _) => slot.is_some_and(|(kind, chip)| is_run_of(run, kind, chip)),
+        (None, Some(state)) => slot == Some((state.policy, state.chip)),
+        (None, None) => true,
+    }
+}
+
+/// Checks that `runs` fill grid slots `base..` in order.
+fn in_canonical_slots(
+    what: &str,
+    runs: &[RunMetrics],
+    grid: &[RunDescriptor],
+    base: usize,
+) -> Result<(), CheckpointError> {
+    for (offset, run) in runs.iter().enumerate() {
+        let slot = base + offset;
+        if !grid
+            .get(slot)
+            .is_some_and(|d| is_run_of(run, d.kind, d.chip))
+        {
+            return Err(CheckpointError::Corrupt(format!(
+                "{what} holds run ({}, chip {}) where canonical slot {slot} belongs",
+                run.policy, run.chip_id
+            )));
+        }
+    }
+    Ok(())
+}
+
+fn is_run_of(run: &RunMetrics, kind: PolicyKind, chip: usize) -> bool {
+    run.policy == kind.name() && run.chip_id == chip
 }
 
 /// Reads the v1 checkpoint file at `path` for `campaign` as a manifest with
@@ -449,29 +514,31 @@ impl ShardedCheckpointer {
             self.store.clone()
         };
         let migrate = v1_file && !store.manifest_path().exists();
-        let (mut manifest, tail) = if migrate {
-            load_v1(&self.store.dir, campaign, self.shard_runs)?
+        let (mut manifest, sealed, tail) = if migrate {
+            let (manifest, tail) = load_v1(&self.store.dir, campaign, self.shard_runs)?;
+            (manifest, Vec::new(), tail)
         } else {
             store.load(campaign)?
         };
         if let Some(every) = self.every_epochs {
             manifest.every_epochs = every;
         }
-        self.recorder
-            .counter("campaign.runs_skipped", tail.completed.len() as u64);
+        self.recorder.counter(
+            "campaign.runs_skipped",
+            (sealed.len() + tail.completed.len()) as u64,
+        );
         if let Some(in_flight) = &tail.in_flight {
             self.recorder.counter(
                 "campaign.epochs_skipped",
                 in_flight.engine.next_epoch as u64,
             );
         }
-        // The drive loop owns sealing; the whole prefix arrives as an
-        // oversized tail and is re-sealed. Sealing is deterministic, so
-        // re-written shard files are byte-identical to those on disk.
+        // A migrated v1 prefix arrives as an oversized tail; the drive loop
+        // seals it.
         if migrate {
             self.start(&store, campaign, manifest, tail, sink)
         } else {
-            self.drive(&store, campaign, manifest, tail, sink)
+            self.drive(&store, campaign, manifest, sealed, tail, sink)
         }
     }
 
@@ -492,17 +559,19 @@ impl ShardedCheckpointer {
         })?;
         store.save_json(&store.tail_path(), &tail)?;
         store.save_json(&store.manifest_path(), &manifest)?;
-        self.drive(store, campaign, manifest, tail, sink)
+        self.drive(store, campaign, manifest, Vec::new(), tail, sink)
     }
 
-    /// The shared fresh/resume loop. `tail.completed` carries the already
-    /// durable canonical prefix (the whole of it on resume); `sink` sees
-    /// every run of the campaign exactly once, in canonical order.
+    /// The shared fresh/resume loop. `sealed` (the runs of the manifest's
+    /// sealed shards) and `tail.completed` carry the already durable
+    /// canonical prefix; `sink` sees every run of the campaign exactly
+    /// once, in canonical order.
     fn drive(
         &self,
         store: &ShardStore,
         campaign: &Campaign,
         mut manifest: ShardManifest,
+        sealed: Vec<RunMetrics>,
         mut tail: ShardTail,
         mut sink: impl FnMut(usize, &RunMetrics) -> Result<(), DynError>,
     ) -> Result<u64, CheckpointError> {
@@ -512,7 +581,7 @@ impl ShardedCheckpointer {
             .iter()
             .flat_map(|&kind| (0..campaign.chip_count()).map(move |chip| (kind, chip)))
             .collect();
-        let mut done = tail.completed.len();
+        let mut done = sealed.len() + tail.completed.len();
         if done > grid.len() {
             return Err(CheckpointError::ProgressOutOfRange {
                 jobs: grid.len(),
@@ -521,9 +590,9 @@ impl ShardedCheckpointer {
         }
 
         // Replay the durable prefix to the sink and the fleet accumulator,
-        // then seal whatever full shards it contains (idempotent on
-        // resume: identical bytes land over the identical files).
-        for (index, run) in tail.completed.iter().enumerate() {
+        // then seal whatever full shards the tail holds (a migrated v1
+        // prefix).
+        for (index, run) in sealed.iter().chain(&tail.completed).enumerate() {
             if let Some(fleet) = &self.fleet {
                 fleet
                     .lock()
@@ -532,6 +601,7 @@ impl ShardedCheckpointer {
             }
             sink(index, run).map_err(sink_error)?;
         }
+        drop(sealed);
         self.seal_full_shards(store, &mut manifest, &mut tail)?;
 
         let in_flight = tail.in_flight.take();
@@ -618,9 +688,11 @@ impl ShardedCheckpointer {
                             done += 1;
                         }
                         if done != before {
+                            // The snapshot goes in first, so the tail a
+                            // seal writes never carries a finished run's.
+                            tail.in_flight = snapshots.get(&done).cloned();
                             self.seal_full_shards(store, &mut manifest, &mut tail)
                                 .map_err(DynError::from)?;
-                            tail.in_flight = snapshots.get(&done).cloned();
                             self.save_tail(store, &tail).map_err(DynError::from)?;
                         }
                     }
@@ -710,6 +782,21 @@ mod tests {
         dir
     }
 
+    fn read_json<T: Deserialize>(dir: &Path, name: &str) -> T {
+        serde_json::from_str(&std::fs::read_to_string(dir.join(name)).unwrap()).unwrap()
+    }
+
+    /// Rewrites the manifest of `dir` after applying `edit` to it.
+    fn edit_manifest(dir: &Path, edit: impl FnOnce(&mut ShardManifest)) {
+        let mut manifest: ShardManifest = read_json(dir, "manifest.json");
+        edit(&mut manifest);
+        std::fs::write(
+            dir.join("manifest.json"),
+            serde_json::to_string(&manifest).unwrap(),
+        )
+        .unwrap();
+    }
+
     #[test]
     fn sharded_run_matches_plain_campaign() {
         let campaign = tiny_campaign(3);
@@ -721,12 +808,9 @@ mod tests {
             .unwrap();
         assert_eq!(sharded, campaign.run(&policies));
         // 6 runs at capacity 2: three sealed shards, empty tail.
-        let manifest: ShardManifest =
-            serde_json::from_str(&std::fs::read_to_string(dir.join("manifest.json")).unwrap())
-                .unwrap();
+        let manifest: ShardManifest = read_json(&dir, "manifest.json");
         assert_eq!(manifest.sealed, 3);
-        let tail: ShardTail =
-            serde_json::from_str(&std::fs::read_to_string(dir.join("tail.json")).unwrap()).unwrap();
+        let tail: ShardTail = read_json(&dir, "tail.json");
         assert!(tail.completed.is_empty());
         assert!(tail.in_flight.is_none());
         std::fs::remove_dir_all(&dir).ok();
@@ -812,11 +896,7 @@ mod tests {
         ShardedCheckpointer::new(&dir)
             .run(&campaign, &[PolicyKind::Hayat])
             .unwrap();
-        let manifest_path = dir.join("manifest.json");
-        let mut manifest: ShardManifest =
-            serde_json::from_str(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
-        manifest.version = SHARD_FORMAT_VERSION + 1;
-        std::fs::write(&manifest_path, serde_json::to_string(&manifest).unwrap()).unwrap();
+        edit_manifest(&dir, |manifest| manifest.version = SHARD_FORMAT_VERSION + 1);
         assert!(matches!(
             ShardedCheckpointer::new(&dir).resume(&campaign),
             Err(CheckpointError::VersionMismatch { .. })
@@ -854,14 +934,58 @@ mod tests {
             .unwrap();
         // Rewind the manifest by one sealed shard, leaving shard-00001 an
         // orphan; its runs vanish from the durable prefix.
-        let manifest_path = dir.join("manifest.json");
-        let mut manifest: ShardManifest =
-            serde_json::from_str(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
-        manifest.sealed -= 1;
-        std::fs::write(&manifest_path, serde_json::to_string(&manifest).unwrap()).unwrap();
+        edit_manifest(&dir, |manifest| manifest.sealed -= 1);
 
         let resumed = ShardedCheckpointer::new(&dir).resume(&campaign).unwrap();
         assert_eq!(resumed, campaign.run(&policies));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The state a kill between a seal's tail and manifest writes leaves:
+    /// a `shard_runs(2)` campaign stopped with one sealed shard and one
+    /// run in the tail, its manifest rewound by one shard.
+    fn seal_window(name: &str) -> (Campaign, PathBuf) {
+        let campaign = tiny_campaign(3);
+        let dir = temp_dir(name);
+        let interrupted = ShardedCheckpointer::new(&dir)
+            .shard_runs(2)
+            .jobs(Jobs::serial())
+            .with_failpoint(FailPoint::armed(
+                FAILPOINT_CHIP,
+                4,
+                crate::failpoint::FailMode::Error,
+            ))
+            .run(&campaign, &[PolicyKind::Vaa, PolicyKind::Hayat]);
+        assert!(matches!(interrupted, Err(CheckpointError::Injected(_))));
+        let tail: ShardTail = read_json(&dir, "tail.json");
+        assert!(!tail.completed.is_empty());
+        edit_manifest(&dir, |manifest| {
+            assert_eq!(manifest.sealed, 1);
+            manifest.sealed = 0;
+        });
+        (campaign, dir)
+    }
+
+    #[test]
+    fn seal_crash_after_the_tail_write_resumes_into_the_right_slots() {
+        // The tail's run must land after the uncounted shard, not in its
+        // slots.
+        let (campaign, dir) = seal_window("seal_window");
+        let resumed = ShardedCheckpointer::new(&dir).resume(&campaign).unwrap();
+        assert_eq!(resumed, campaign.run(&[PolicyKind::Vaa, PolicyKind::Hayat]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn runs_out_of_their_canonical_slots_are_corrupt() {
+        // Without the uncounted shard on disk, the tail cannot be placed:
+        // refuse it rather than shift it.
+        let (campaign, dir) = seal_window("misplaced");
+        std::fs::remove_file(dir.join("shard-00000.json")).unwrap();
+        assert!(matches!(
+            ShardedCheckpointer::new(&dir).resume(&campaign),
+            Err(CheckpointError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -5,22 +5,21 @@
 //! * the **variation** crate factorizes grid covariance matrices
 //!   (≈ 1024 × 1024 for the paper's 8×8 chip with a 4×4 grid per core) and
 //!   multiplies the factor with Gaussian vectors ([`lower_mul_vec`]);
-//! * the **thermal** crate solves conductance systems `G·T = P`
-//!   ([`cholesky_solve`]) for exact steady-state temperature maps, and
-//!   factorizes the backward-Euler system `(C/h + G)` of its implicit
-//!   transient integrator as a **banded** Cholesky ([`BandedSpdMatrix`],
-//!   [`BandedCholeskyFactor`]) so one transient step costs `O(n·b)` instead
-//!   of `O(n²)`;
+//! * the **thermal** crate factorizes its conductance system `G·T = P`
+//!   and the backward-Euler system `(C/h + G)` of its implicit transient
+//!   integrator as **banded** Cholesky factors ([`BandedSpdMatrix`],
+//!   [`BandedCholeskyFactor`]), so a steady-state solve or one transient
+//!   step costs `O(n·b)` instead of `O(n²)`;
 //! * the **policy decision path** fuses its per-candidate temperature scans
 //!   ([`axpy_max_sum`]) and rank-1 superposition updates ([`axpy_in_place`])
 //!   into single passes that are bit-identical to the open-coded loops they
 //!   replace.
 //!
 //! Only what those three need is provided; this is not a general-purpose
-//! linear-algebra library. The solver entry points come in an allocating
-//! flavor for one-off use and an `_into`/`_in_place` flavor
-//! ([`cholesky_solve_into`], [`BandedCholeskyFactor::solve_in_place`]) for
-//! hot loops that must not touch the allocator.
+//! linear-algebra library. The banded solves work in place
+//! ([`BandedCholeskyFactor::solve_in_place`]) so hot loops never touch the
+//! allocator; the dense [`cholesky_solve`] is the reference they are
+//! checked against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -434,27 +433,9 @@ pub fn lower_mul_vec(l: &SquareMatrix, z: &[f64]) -> Vec<f64> {
 /// ```
 #[must_use]
 pub fn cholesky_solve(l: &SquareMatrix, b: &[f64]) -> Vec<f64> {
-    let mut x = vec![0.0; l.n()];
-    cholesky_solve_into(l, b, &mut x);
-    x
-}
-
-/// Allocation-free [`cholesky_solve`]: solves `L·Lᵀ·x = b` into a
-/// caller-owned buffer.
-///
-/// The intermediate forward-substitution result lives in `x` itself (the
-/// backward pass at row `i` only reads `x[i..]`, where `x[i]` still holds
-/// the forward result and `x[i+1..]` are final), so no scratch buffer is
-/// needed and the result is bit-identical to [`cholesky_solve`].
-///
-/// # Panics
-///
-/// Panics if `b.len()` or `x.len()` differ from `l.n()`, or if a diagonal
-/// entry of `l` is zero.
-pub fn cholesky_solve_into(l: &SquareMatrix, b: &[f64], x: &mut [f64]) {
     let n = l.n();
     assert_eq!(b.len(), n, "rhs length must match matrix size");
-    assert_eq!(x.len(), n, "solution buffer must match matrix size");
+    let mut x = vec![0.0; n];
     // Forward substitution: L·y = b, with y stored in x.
     for i in 0..n {
         let mut sum = b[i];
@@ -474,42 +455,7 @@ pub fn cholesky_solve_into(l: &SquareMatrix, b: &[f64], x: &mut [f64]) {
         }
         x[i] = sum / l.get(i, i);
     }
-}
-
-/// Fully in-place [`cholesky_solve`]: `x` holds the right-hand side on
-/// entry and the solution on return.
-///
-/// The forward pass at row `i` reads `x[i]` (still the untouched rhs entry)
-/// and `x[..i]` (already-computed forward results), so aliasing the rhs and
-/// solution buffers is sound and the result stays bit-identical to
-/// [`cholesky_solve`]. This is the zero-allocation primitive behind
-/// `RcNetwork::solve_steady_into` in the thermal crate.
-///
-/// # Panics
-///
-/// Panics if `x.len() != l.n()` or a diagonal entry of `l` is zero.
-pub fn cholesky_solve_in_place(l: &SquareMatrix, x: &mut [f64]) {
-    let n = l.n();
-    assert_eq!(x.len(), n, "rhs length must match matrix size");
-    // Forward substitution: L·y = b, overwriting b with y.
-    for i in 0..n {
-        let mut sum = x[i];
-        let row = l.row(i);
-        for k in 0..i {
-            sum -= row[k] * x[k];
-        }
-        let d = row[i];
-        assert!(d != 0.0, "zero diagonal in Cholesky factor at {i}");
-        x[i] = sum / d;
-    }
-    // Backward substitution: Lᵀ·x = y, in place.
-    for i in (0..n).rev() {
-        let mut sum = x[i];
-        for (k, &xk) in x.iter().enumerate().skip(i + 1) {
-            sum -= l.get(k, i) * xk;
-        }
-        x[i] = sum / l.get(i, i);
-    }
+    x
 }
 
 /// Symmetric positive-definite matrix with entries only within
@@ -838,61 +784,39 @@ impl BandedCholeskyFactor {
         }
     }
 
-    /// Solves `L·Lᵀ·x = b` for `batch` independent right-hand sides in one
-    /// factor traversal, in place and allocation-free. The right-hand sides
-    /// are interleaved structure-of-arrays: `x[i * batch + b]` holds entry
-    /// `i` of lane `b` on entry (as `b_b[i]`) and on return (as the
-    /// solution).
+    /// Lane count of [`solve_many_in_place`](Self::solve_many_in_place).
+    pub const SOLVE_MANY_LANES: usize = 32;
+
+    /// Solves `L·Lᵀ·x = b` for [`SOLVE_MANY_LANES`](Self::SOLVE_MANY_LANES)
+    /// independent right-hand sides in one factor traversal, in place and
+    /// allocation-free. The right-hand sides are interleaved
+    /// structure-of-arrays: `x[i * SOLVE_MANY_LANES + b]` holds entry `i` of
+    /// lane `b` on entry (as `b_b[i]`) and on return (as the solution). A
+    /// caller with fewer systems zero-pads the spare lanes.
+    ///
+    /// The traversal is in *gather* form: each row's lanes accumulate their
+    /// whole substitution chain in a fixed-width register block and store
+    /// once. The constant lane count lets the lane loop unroll and
+    /// vectorize, while the per-column multiplier loads amortize across
+    /// lanes.
     ///
     /// Each lane undergoes exactly the per-entry operation sequence of
     /// [`solve_in_place`](Self::solve_in_place): the register-blocked
     /// passes there fuse columns into chained `mul_add`s but apply them in
-    /// the same column order the simple scatter loops do, so streaming
-    /// those columns once with an innermost lane loop is bit-identical per
-    /// lane while the B independent dependency chains fill the FMA
-    /// pipelines (the per-column multiplier loads amortize across lanes).
+    /// ascending `j` (forward) / descending `i` (backward) order, one
+    /// `mul_add` each, which is exactly the chain the gather accumulates.
     /// `solve_many_matches_each_lane_bitwise` pins the contract.
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0` or `x.len() != n * batch`.
-    pub fn solve_many_in_place(&self, x: &mut [f64], batch: usize) {
-        assert!(batch > 0, "batch must be positive");
-        assert_eq!(x.len(), self.n * batch, "rhs length must be n × batch");
-        // The innermost loop below runs `batch` iterations per factor
-        // element. In the dynamic traversal the pivot row is a slice whose
-        // length the compiler cannot prove equals `batch`, so the lane
-        // loop keeps its runtime trip count and stays scalar — at widths
-        // 2–16 that ran up to 2x slower *per lane* than the scalar solve.
-        // The fixed-width clones walk rows through `chunks_exact_mut::<B>`
-        // with the pivot in a `[f64; B]`, making the trip count a constant
-        // the lane loop unrolls and vectorizes over. Per lane the
-        // operation sequence is identical, so results stay bit-identical
-        // (`solve_many_matches_each_lane_bitwise` covers both paths).
-        match batch {
-            1 => self.solve_in_place(x),
-            2 => self.solve_many_fixed::<2>(x),
-            4 => self.solve_many_fixed::<4>(x),
-            8 => self.solve_many_fixed::<8>(x),
-            16 => self.solve_many_fixed::<16>(x),
-            32 => self.solve_many_fixed::<32>(x),
-            64 => self.solve_many_fixed::<64>(x),
-            _ => self.solve_many_dyn(x, batch),
-        }
-    }
-
-    /// Fixed-width multi-RHS traversal in *gather* form: each row's lanes
-    /// accumulate their whole substitution chain in a `[f64; B]` register
-    /// block and store once, instead of the scatter form's load-update-
-    /// store of every pending row per column (which is store-forward bound
-    /// and per-column-overhead bound at small `B`).
-    ///
-    /// Per element the operation sequence is unchanged — the scatter
-    /// applies columns to `x_k` in ascending `j` (forward) / descending
-    /// `i` (backward) order, one `mul_add` each, which is exactly the
-    /// chain the gather accumulates — so results stay bit-identical to
-    /// [`solve_many_dyn`](Self::solve_many_dyn) and the scalar solve.
-    fn solve_many_fixed<const B: usize>(&self, x: &mut [f64]) {
+    /// Panics if `x.len() != n * SOLVE_MANY_LANES`.
+    pub fn solve_many_in_place(&self, x: &mut [f64]) {
+        const B: usize = BandedCholeskyFactor::SOLVE_MANY_LANES;
+        assert_eq!(
+            x.len(),
+            self.n * B,
+            "rhs length must be n × SOLVE_MANY_LANES"
+        );
         let hb = self.hb;
         let stride = hb + 1;
         let n = self.n;
@@ -937,60 +861,6 @@ impl BandedCholeskyFactor {
                 pos -= stride - 1;
             }
             row[..B].copy_from_slice(&acc);
-        }
-    }
-
-    /// The dynamic-width multi-RHS factor traversal behind
-    /// [`solve_many_in_place`](Self::solve_many_in_place); `batch ≥ 2` and
-    /// `x.len() == n × batch` are the caller's contract.
-    fn solve_many_dyn(&self, x: &mut [f64], batch: usize) {
-        let hb = self.hb;
-        let stride = hb + 1;
-        // Forward: U·w = b, scaled columns stream from `fwd`, each applied
-        // to every lane before the next column (negating x[j] per lane
-        // reproduces the scalar pass's hoisted `nxj` bit for bit).
-        let bulk = self.n.saturating_sub(hb);
-        for j in 0..self.n {
-            let cols = if j < bulk { hb } else { self.n - j - 1 };
-            let col = &self.fwd[j * stride + 1..][..cols];
-            let (head, rest) = x.split_at_mut((j + 1) * batch);
-            let xj = &head[j * batch..];
-            for (c, l_kj) in col.iter().enumerate() {
-                for (x_k, x_j) in rest[c * batch..(c + 1) * batch].iter_mut().zip(xj) {
-                    *x_k = l_kj.mul_add(-*x_j, *x_k);
-                }
-            }
-        }
-        // Diagonal: v = D⁻¹·w.
-        for (xs, s) in x.chunks_exact_mut(batch).zip(&self.inv_diag2) {
-            for x_i in xs {
-                *x_i *= s;
-            }
-        }
-        // Backward: Uᵀ·x = v, scaled transposed rows stream from `bwd`.
-        for i in (hb.min(self.n)..self.n).rev() {
-            let row = &self.bwd[i * stride..][..hb];
-            let (head, rest) = x.split_at_mut(i * batch);
-            let xi = &rest[..batch];
-            let lo = (i - hb) * batch;
-            for (r, l_ik) in row.iter().enumerate() {
-                for (x_k, x_i) in head[lo + r * batch..lo + (r + 1) * batch]
-                    .iter_mut()
-                    .zip(xi)
-                {
-                    *x_k = l_ik.mul_add(-*x_i, *x_k);
-                }
-            }
-        }
-        for i in (0..hb.min(self.n)).rev() {
-            let row = &self.bwd[i * stride + (hb - i)..][..i];
-            let (head, rest) = x.split_at_mut(i * batch);
-            let xi = &rest[..batch];
-            for (r, l_ik) in row.iter().enumerate() {
-                for (x_k, x_i) in head[r * batch..(r + 1) * batch].iter_mut().zip(xi) {
-                    *x_k = l_ik.mul_add(-*x_i, *x_k);
-                }
-            }
         }
     }
 }
@@ -1315,36 +1185,6 @@ mod tests {
         let _ = cholesky_solve(&l, &[1.0]);
     }
 
-    #[test]
-    fn solve_into_is_bit_identical_to_solve() {
-        let a = spd3();
-        let l = cholesky(&a).unwrap();
-        let b = [3.5, -1.25, 7.0];
-        let reference = cholesky_solve(&l, &b);
-        let mut x = vec![0.0; 3];
-        cholesky_solve_into(&l, &b, &mut x);
-        assert_eq!(x, reference, "in-place solve must not perturb a bit");
-    }
-
-    #[test]
-    fn solve_in_place_is_bit_identical_to_solve() {
-        let a = spd3();
-        let l = cholesky(&a).unwrap();
-        let b = [3.5, -1.25, 7.0];
-        let reference = cholesky_solve(&l, &b);
-        let mut x = b.to_vec();
-        cholesky_solve_in_place(&l, &mut x);
-        assert_eq!(x, reference, "aliased solve must not perturb a bit");
-    }
-
-    #[test]
-    #[should_panic(expected = "solution buffer")]
-    fn solve_into_checks_output_length() {
-        let l = cholesky(&SquareMatrix::identity(3)).unwrap();
-        let mut x = vec![0.0; 2];
-        cholesky_solve_into(&l, &[1.0, 2.0, 3.0], &mut x);
-    }
-
     /// A deterministic diagonally dominant banded SPD test matrix.
     fn banded_case(n: usize, hb: usize) -> (BandedSpdMatrix, SquareMatrix) {
         let mut banded = BandedSpdMatrix::zeros(n, hb);
@@ -1528,26 +1368,23 @@ mod tests {
         // (31, 5) exercises the register-blocked scalar reference path
         // (hb ≥ 4, long bulk); (8, 5) is tail/head dominated; (4, 0) is
         // the pure diagonal case; (24, 23) is an almost-dense band.
+        let batch = BandedCholeskyFactor::SOLVE_MANY_LANES;
         for (n, hb) in [(31usize, 5usize), (8, 5), (4, 0), (24, 23)] {
             let (banded, _) = banded_case(n, hb);
             let f = BandedCholeskyFactor::factorize(&banded).unwrap();
-            // 2/4/8/16/32/64 hit every fixed-width gather clone; 3 and 5
-            // hit the dynamic scatter fallback.
-            for batch in [1usize, 2, 3, 4, 5, 8, 16, 32, 64] {
-                let lanes: Vec<Vec<f64>> = (0..batch).map(|b| lane_rhs(n, b)).collect();
-                let mut soa = interleave(&lanes);
-                f.solve_many_in_place(&mut soa, batch);
-                for (b, lane) in lanes.iter().enumerate() {
-                    let mut reference = lane.clone();
-                    f.solve_in_place(&mut reference);
-                    for (i, want) in reference.iter().enumerate() {
-                        assert_eq!(
-                            soa[i * batch + b],
-                            *want,
-                            "lane {b} entry {i} (n={n}, hb={hb}, batch={batch}) \
-                             must not drift a bit from the scalar solve"
-                        );
-                    }
+            let lanes: Vec<Vec<f64>> = (0..batch).map(|b| lane_rhs(n, b)).collect();
+            let mut soa = interleave(&lanes);
+            f.solve_many_in_place(&mut soa);
+            for (b, lane) in lanes.iter().enumerate() {
+                let mut reference = lane.clone();
+                f.solve_in_place(&mut reference);
+                for (i, want) in reference.iter().enumerate() {
+                    assert_eq!(
+                        soa[i * batch + b],
+                        *want,
+                        "lane {b} entry {i} (n={n}, hb={hb}) \
+                         must not drift a bit from the scalar solve"
+                    );
                 }
             }
         }
@@ -1559,10 +1396,10 @@ mod tests {
         // batched solve pinned to the scalar path at exactly that shape.
         let (banded, _) = banded_case(192, 24);
         let f = BandedCholeskyFactor::factorize(&banded).unwrap();
-        let batch = 8;
+        let batch = BandedCholeskyFactor::SOLVE_MANY_LANES;
         let lanes: Vec<Vec<f64>> = (0..batch).map(|b| lane_rhs(192, b)).collect();
         let mut soa = interleave(&lanes);
-        f.solve_many_in_place(&mut soa, batch);
+        f.solve_many_in_place(&mut soa);
         for (b, lane) in lanes.iter().enumerate() {
             let mut reference = lane.clone();
             f.solve_in_place(&mut reference);
@@ -1573,11 +1410,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rhs length must be n × batch")]
+    #[should_panic(expected = "rhs length must be n × SOLVE_MANY_LANES")]
     fn solve_many_checks_length() {
         let (banded, _) = banded_case(4, 1);
         let f = BandedCholeskyFactor::factorize(&banded).unwrap();
         let mut x = vec![0.0; 7];
-        f.solve_many_in_place(&mut x, 2);
+        f.solve_many_in_place(&mut x);
     }
 }

@@ -23,6 +23,7 @@ use crate::config::ThermalConfig;
 use crate::profile::TemperatureMap;
 use crate::steady::steady_state;
 use hayat_floorplan::{CoreId, Floorplan};
+use hayat_linalg::BandedCholeskyFactor;
 use hayat_telemetry::{Recorder, RecorderExt, NULL_RECORDER};
 use hayat_units::{Kelvin, Watts};
 use serde::{Deserialize, Serialize};
@@ -168,52 +169,34 @@ impl ThermalPredictor {
         );
         let rises = match model {
             PredictorModel::ResponseMatrix => {
+                // Gang the unit-power solves so each pass over the banded
+                // factor serves a block of source cores — the difference
+                // between minutes and seconds for a 64×64 response matrix.
+                // The last block is zero-padded to full width and its
+                // padding lanes discarded; each lane is bit-identical to
+                // its scalar solve.
                 let network = crate::rc_model::RcNetwork::new(floorplan, config);
                 let ambient = config.ambient.value();
-                if network.steady_factor_is_banded() {
-                    // Large meshes: gang the unit-power solves so each pass
-                    // over the banded factor serves a block of source cores
-                    // — the difference between minutes and seconds for a
-                    // 64×64 response matrix. Each lane is bit-identical to
-                    // its scalar solve, so the cut-over changes nothing but
-                    // time.
-                    let nn = network.node_count();
-                    const LEARN_BATCH: usize = 32;
-                    let mut injections = Vec::new();
-                    let mut temps = Vec::new();
-                    let mut rises: Vec<Vec<f64>> = Vec::with_capacity(n);
-                    for start in (0..n).step_by(LEARN_BATCH) {
-                        let width = LEARN_BATCH.min(n - start);
-                        injections.clear();
-                        injections.resize(nn * width, 0.0);
-                        for lane in 0..width {
-                            injections[lane * nn + start + lane] = 1.0;
-                        }
-                        network.solve_steady_many_into(&injections, width, &mut temps);
-                        rises.extend((0..width).map(|lane| {
-                            temps[lane * nn..][..n]
-                                .iter()
-                                .map(|&t| t - ambient)
-                                .collect()
-                        }));
+                let nn = network.node_count();
+                let lanes = BandedCholeskyFactor::SOLVE_MANY_LANES;
+                let mut injections = vec![0.0; nn * lanes];
+                let mut temps = Vec::new();
+                let mut rises: Vec<Vec<f64>> = Vec::with_capacity(n);
+                for start in (0..n).step_by(lanes) {
+                    let width = lanes.min(n - start);
+                    injections.fill(0.0);
+                    for lane in 0..width {
+                        injections[lane * nn + start + lane] = 1.0;
                     }
-                    rises
-                } else {
-                    // One injection buffer and one solution buffer serve all
-                    // `n` unit-power solves: after the first source the
-                    // learning loop never touches the allocator except to
-                    // store the rise rows.
-                    let mut injection = vec![0.0; network.node_count()];
-                    let mut temps = Vec::new();
-                    (0..n)
-                        .map(|src| {
-                            injection[src] = 1.0;
-                            network.solve_steady_into(&injection, &mut temps);
-                            injection[src] = 0.0;
-                            temps[..n].iter().map(|&t| t - ambient).collect()
-                        })
-                        .collect()
+                    network.solve_steady_many_into(&injections, &mut temps);
+                    rises.extend((0..width).map(|lane| {
+                        temps[lane * nn..][..n]
+                            .iter()
+                            .map(|&t| t - ambient)
+                            .collect()
+                    }));
                 }
+                rises
             }
             PredictorModel::Isotropic => {
                 let footprint = ThreadFootprint::learn(floorplan, config);
@@ -556,14 +539,13 @@ mod tests {
 
     #[test]
     fn batched_learning_on_a_banded_mesh_matches_scalar_solves_bitwise() {
-        // Past the dense steady cutoff the response matrix is learned in
-        // ganged blocks; every rise row must still equal the one its scalar
-        // unit-power solve produces.
+        // The response matrix is learned in ganged blocks, the last one
+        // zero-padded (272 = 8·32 + 16 cores); every rise row must still
+        // equal the one its scalar unit-power solve produces.
         let fp = Floorplan::grid(17, 16);
         let cfg = ThermalConfig::paper();
         let pred = ThermalPredictor::learn(&fp, &cfg);
         let network = crate::rc_model::RcNetwork::new(&fp, &cfg);
-        assert!(network.steady_factor_is_banded());
         let n = fp.core_count();
         let mut injection = vec![0.0; network.node_count()];
         let mut temps = Vec::new();

@@ -2,7 +2,7 @@
 
 use crate::config::ThermalConfig;
 use hayat_floorplan::Floorplan;
-use hayat_linalg::{cholesky, BandedCholeskyFactor, BandedSpdMatrix, SquareMatrix};
+use hayat_linalg::{BandedCholeskyFactor, BandedSpdMatrix};
 use hayat_units::{Kelvin, Watts};
 
 /// One edge of the conductance graph.
@@ -12,26 +12,6 @@ struct Edge {
     other: usize,
     /// Thermal conductance of the edge, W/K.
     g: f64,
-}
-
-/// Largest core count whose steady-state conductance system is factorized
-/// densely. At or below it (every historical mesh up to 16×16) the dense
-/// Cholesky is kept so existing outputs stay bit-identical; above it the
-/// dense factor becomes untenable — a 64×64 die has 12 288 RC nodes, i.e. a
-/// ~1.2 GB dense factor and an `O(n³)` factorization — while the same
-/// system in banded layer-interleaved ordering factors without fill in
-/// `O(n·b²)` and a few tens of megabytes.
-const DENSE_STEADY_MAX_CORES: usize = 256;
-
-/// The cached factorization of the steady-state conductance system, in
-/// whichever form [`DENSE_STEADY_MAX_CORES`] selects.
-#[derive(Debug, Clone)]
-enum SteadyFactor {
-    /// Dense lower Cholesky factor, natural node ordering.
-    Dense(SquareMatrix),
-    /// Banded Cholesky factor in the layer-interleaved (banded) node
-    /// ordering; right-hand sides are permuted in and out per solve.
-    Banded(BandedCholeskyFactor),
 }
 
 /// The RC thermal network of one chip.
@@ -49,7 +29,8 @@ enum SteadyFactor {
 /// Maps run hotter than spread ones (Section II).
 ///
 /// The steady-state conductance system `G·T = P + G_amb·T_amb` is factorized
-/// once at construction (dense Cholesky; `G` is symmetric positive definite
+/// once at construction (banded Cholesky in the layer-interleaved ordering
+/// the implicit stepper also uses; `G` is symmetric positive definite
 /// because every node drains to ambient through the sink), so each
 /// steady-state query is just two triangular solves. The transient
 /// integrator reuses the same edge list for explicit time stepping.
@@ -74,8 +55,10 @@ pub struct RcNetwork {
     /// Heat capacity per node, J/K.
     capacitance: Vec<f64>,
     ambient: Kelvin,
-    /// Cached factorization of the conductance matrix.
-    factor: SteadyFactor,
+    /// Cached banded factorization of the conductance matrix, in the
+    /// layer-interleaved node ordering; right-hand sides are permuted in
+    /// and out per solve.
+    factor: BandedCholeskyFactor,
 }
 
 impl RcNetwork {
@@ -121,51 +104,10 @@ impl RcNetwork {
         capacitance.extend(std::iter::repeat_n(config.c_spreader, n));
         capacitance.extend(std::iter::repeat_n(config.c_sink / n as f64, n));
 
-        // Assemble and factorize the conductance (weighted-Laplacian +
-        // ambient tie) matrix. Small meshes keep the historical dense
-        // factor (bit-identical outputs); large ones use the same banded
-        // layer-interleaved ordering the implicit stepper relies on, minus
-        // the `C/h` diagonal term.
-        let factor = if n <= DENSE_STEADY_MAX_CORES {
-            let mut g = SquareMatrix::zeros(node_count);
-            for (i, node_edges) in edges.iter().enumerate() {
-                let mut diag = g_ambient[i];
-                for e in node_edges {
-                    diag += e.g;
-                    g.set(i, e.other, -e.g);
-                }
-                g.set(i, i, diag);
-            }
-            SteadyFactor::Dense(cholesky(&g).expect("conductance matrix is positive definite"))
-        } else {
-            let banded_index = |node: usize| (node % n) * 3 + node / n;
-            let hb = edges
-                .iter()
-                .enumerate()
-                .flat_map(|(i, es)| {
-                    es.iter()
-                        .map(move |e| banded_index(i).abs_diff(banded_index(e.other)))
-                })
-                .max()
-                .unwrap_or(0);
-            let mut m = BandedSpdMatrix::zeros(node_count, hb);
-            for (i, node_edges) in edges.iter().enumerate() {
-                let bi = banded_index(i);
-                let mut diag = g_ambient[i];
-                for e in node_edges {
-                    diag += e.g;
-                    let bj = banded_index(e.other);
-                    if bj < bi {
-                        m.set(bi, bj, -e.g);
-                    }
-                }
-                m.set(bi, bi, diag);
-            }
-            SteadyFactor::Banded(
-                BandedCholeskyFactor::factorize(&m)
-                    .expect("conductance matrix is positive definite"),
-            )
-        };
+        // Factorize the conductance (weighted-Laplacian + ambient tie)
+        // matrix: the implicit stepper's system without its `C/h` term.
+        let factor = BandedCholeskyFactor::factorize(&banded_system(&edges, &g_ambient, |_| 0.0))
+            .expect("conductance matrix is positive definite");
 
         RcNetwork {
             cores: n,
@@ -223,11 +165,9 @@ impl RcNetwork {
         out
     }
 
-    /// Allocation-free [`solve_steady`](Self::solve_steady): the right-hand
-    /// side is assembled directly into `out` and solved in place, so a
-    /// caller that reuses `out` (predictor learning does one solve per
-    /// source core) never touches the allocator after the first call.
-    /// Results are bit-identical to [`solve_steady`](Self::solve_steady).
+    /// [`solve_steady`](Self::solve_steady) into a caller-owned buffer,
+    /// which is cleared and refilled. Results are bit-identical to
+    /// [`solve_steady`](Self::solve_steady).
     ///
     /// # Panics
     ///
@@ -238,95 +178,54 @@ impl RcNetwork {
             self.node_count(),
             "injection must cover every RC node"
         );
-        out.clear();
-        out.extend(
-            injection
-                .iter()
-                .zip(&self.g_ambient)
-                .map(|(&p, &ga)| p + ga * self.ambient.value()),
-        );
-        match &self.factor {
-            SteadyFactor::Dense(l) => hayat_linalg::cholesky_solve_in_place(l, out),
-            SteadyFactor::Banded(f) => {
-                // Permute into banded order, solve, permute back. The
-                // scratch allocation is deliberate: the banded factor only
-                // exists on >DENSE_STEADY_MAX_CORES networks, whose steady
-                // solves all sit on the offline learning path, never inside
-                // the allocation-free decision loop.
-                let nn = self.node_count();
-                let mut x = vec![0.0; nn];
-                for node in 0..nn {
-                    x[self.banded_index(node)] = out[node];
-                }
-                f.solve_in_place(&mut x);
-                for node in 0..nn {
-                    out[node] = x[self.banded_index(node)];
-                }
-            }
+        // Permute into banded order, solve, permute back.
+        let nn = self.node_count();
+        let mut x = vec![0.0; nn];
+        for (node, &p) in injection.iter().enumerate() {
+            x[self.banded_index(node)] = p + self.g_ambient[node] * self.ambient.value();
         }
+        self.factor.solve_in_place(&mut x);
+        out.clear();
+        out.extend((0..nn).map(|node| x[self.banded_index(node)]));
     }
 
-    /// Steady-state solve for `batch` independent injection vectors in one
-    /// call: `injections` holds the per-node vectors concatenated
-    /// (`injections[lane * node_count() + node]`), and `out` comes back in
-    /// the same layout. Each lane's solution is bit-identical to a scalar
-    /// [`solve_steady_into`](Self::solve_steady_into) call on that lane —
-    /// the banded path interleaves the lanes and streams the factor once
-    /// across all of them, which is what makes response-matrix learning on
-    /// a 64×64 die tractable; the dense path simply loops.
+    /// Steady-state solve for [`SOLVE_MANY_LANES`] independent injection
+    /// vectors in one pass over the factor: `injections` holds the
+    /// per-node vectors concatenated (`injections[lane * node_count() +
+    /// node]`), and `out` comes back in the same layout. Each lane's
+    /// solution is bit-identical to a scalar
+    /// [`solve_steady_into`](Self::solve_steady_into) call on that lane.
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0` or `injections.len() != node_count() * batch`.
-    pub fn solve_steady_many_into(&self, injections: &[f64], batch: usize, out: &mut Vec<f64>) {
-        assert!(batch > 0, "batch must be non-empty");
+    /// Panics if `injections.len() != node_count() * SOLVE_MANY_LANES`.
+    ///
+    /// [`SOLVE_MANY_LANES`]: BandedCholeskyFactor::SOLVE_MANY_LANES
+    pub(crate) fn solve_steady_many_into(&self, injections: &[f64], out: &mut Vec<f64>) {
+        const LANES: usize = BandedCholeskyFactor::SOLVE_MANY_LANES;
         let nn = self.node_count();
         assert_eq!(
             injections.len(),
-            nn * batch,
+            nn * LANES,
             "injections must cover every RC node of every lane"
         );
-        match &self.factor {
-            SteadyFactor::Dense(l) => {
-                out.clear();
-                out.extend(injections.chunks_exact(nn).flat_map(|lane| {
-                    lane.iter()
-                        .zip(&self.g_ambient)
-                        .map(|(&p, &ga)| p + ga * self.ambient.value())
-                }));
-                for lane in out.chunks_exact_mut(nn) {
-                    hayat_linalg::cholesky_solve_in_place(l, lane);
-                }
-            }
-            SteadyFactor::Banded(f) => {
-                // Interleaved structure-of-arrays right-hand sides in banded
-                // node order: x[banded_index(node) * batch + lane].
-                let mut x = vec![0.0; nn * batch];
-                for (lane, inj) in injections.chunks_exact(nn).enumerate() {
-                    for node in 0..nn {
-                        x[self.banded_index(node) * batch + lane] =
-                            inj[node] + self.g_ambient[node] * self.ambient.value();
-                    }
-                }
-                f.solve_many_in_place(&mut x, batch);
-                out.clear();
-                out.resize(nn * batch, 0.0);
-                for lane in 0..batch {
-                    for node in 0..nn {
-                        out[lane * nn + node] = x[self.banded_index(node) * batch + lane];
-                    }
-                }
+        // Interleaved structure-of-arrays right-hand sides in banded node
+        // order: x[banded_index(node) * LANES + lane].
+        let mut x = vec![0.0; nn * LANES];
+        for (lane, inj) in injections.chunks_exact(nn).enumerate() {
+            for node in 0..nn {
+                x[self.banded_index(node) * LANES + lane] =
+                    inj[node] + self.g_ambient[node] * self.ambient.value();
             }
         }
-    }
-
-    /// Whether the steady-state factor is banded (true above
-    /// `DENSE_STEADY_MAX_CORES` = 256 cores) rather than dense. Callers use
-    /// this to decide when batching steady solves is worth the staging
-    /// buffers.
-    #[must_use]
-    pub fn steady_factor_is_banded(&self) -> bool {
-        matches!(self.factor, SteadyFactor::Banded(_))
+        self.factor.solve_many_in_place(&mut x);
+        out.clear();
+        out.resize(nn * LANES, 0.0);
+        for lane in 0..LANES {
+            for node in 0..nn {
+                out[lane * nn + node] = x[self.banded_index(node) * LANES + lane];
+            }
+        }
     }
 
     /// Conductance to ambient of node `i`, W/K (non-zero only for sink
@@ -340,7 +239,7 @@ impl RcNetwork {
     /// three stacked core meshes within `3·mesh-neighbour-stride` of the
     /// diagonal — the ordering that makes the backward-Euler system banded.
     pub(crate) fn banded_index(&self, node: usize) -> usize {
-        (node % self.cores) * 3 + node / self.cores
+        banded_index(self.cores, node)
     }
 
     /// Assembles the backward-Euler system `(C/h + G)` of one implicit
@@ -351,30 +250,7 @@ impl RcNetwork {
     /// Panics unless `h` is positive and finite.
     pub(crate) fn implicit_system(&self, h: f64) -> BandedSpdMatrix {
         assert!(h.is_finite() && h > 0.0, "step size must be positive");
-        let hb = self
-            .edges
-            .iter()
-            .enumerate()
-            .flat_map(|(i, es)| {
-                es.iter()
-                    .map(move |e| self.banded_index(i).abs_diff(self.banded_index(e.other)))
-            })
-            .max()
-            .unwrap_or(0);
-        let mut m = BandedSpdMatrix::zeros(self.node_count(), hb);
-        for (i, node_edges) in self.edges.iter().enumerate() {
-            let bi = self.banded_index(i);
-            let mut diag = self.g_ambient[i] + self.capacitance[i] / h;
-            for e in node_edges {
-                diag += e.g;
-                let bj = self.banded_index(e.other);
-                if bj < bi {
-                    m.set(bi, bj, -e.g);
-                }
-            }
-            m.set(bi, bi, diag);
-        }
-        m
+        banded_system(&self.edges, &self.g_ambient, |i| self.capacitance[i] / h)
     }
 
     /// Net heat flow into node `i` at the given node temperatures, W.
@@ -404,6 +280,46 @@ impl RcNetwork {
         }
         0.5 * min_tau
     }
+}
+
+/// [`RcNetwork::banded_index`] for a network of `cores` cores.
+fn banded_index(cores: usize, node: usize) -> usize {
+    (node % cores) * 3 + node / cores
+}
+
+/// Assembles `G + diag(extra_diag)` in banded layer-interleaved ordering:
+/// the conductance matrix of the graph `edges` with its ambient ties
+/// `g_ambient`, plus `extra_diag(node)` on each node's diagonal (`0` for
+/// the steady state, `C/h` for one implicit step of size `h`).
+fn banded_system(
+    edges: &[Vec<Edge>],
+    g_ambient: &[f64],
+    extra_diag: impl Fn(usize) -> f64,
+) -> BandedSpdMatrix {
+    let cores = edges.len() / 3;
+    let hb = edges
+        .iter()
+        .enumerate()
+        .flat_map(|(i, es)| {
+            es.iter()
+                .map(move |e| banded_index(cores, i).abs_diff(banded_index(cores, e.other)))
+        })
+        .max()
+        .unwrap_or(0);
+    let mut m = BandedSpdMatrix::zeros(edges.len(), hb);
+    for (i, node_edges) in edges.iter().enumerate() {
+        let bi = banded_index(cores, i);
+        let mut diag = g_ambient[i] + extra_diag(i);
+        for e in node_edges {
+            diag += e.g;
+            let bj = banded_index(cores, e.other);
+            if bj < bi {
+                m.set(bi, bj, -e.g);
+            }
+        }
+        m.set(bi, bi, diag);
+    }
+    m
 }
 
 #[cfg(test)]
@@ -523,14 +439,11 @@ mod tests {
 
     #[test]
     fn large_meshes_get_a_banded_steady_factor_that_satisfies_the_physics() {
-        // 18×18 = 324 cores sits just past the dense cutoff. The banded
-        // steady factor must construct (the dense one is the thing this
-        // exists to avoid) and its solution must carry zero net flow at
-        // every node — the defining property of the steady state.
+        // 18×18 = 324 cores: the banded steady factor must construct and
+        // its solution must carry zero net flow at every node — the
+        // defining property of the steady state.
         let fp = Floorplan::grid(18, 18);
         let n = RcNetwork::new(&fp, &ThermalConfig::paper());
-        assert!(n.steady_factor_is_banded());
-        assert!(!net().steady_factor_is_banded(), "8×8 must stay dense");
         let mut power = vec![Watts::new(0.019); 324];
         power[40] = Watts::new(7.0);
         power[200] = Watts::new(5.5);
@@ -547,22 +460,22 @@ mod tests {
 
     #[test]
     fn solve_steady_many_matches_scalar_lanes_bitwise() {
-        // Both factor forms: each lane of the batched solve must reproduce
-        // the scalar solve exactly.
+        // Each lane of the batched solve must reproduce the scalar solve
+        // exactly.
         for fp in [Floorplan::paper_8x8(), Floorplan::grid(17, 16)] {
             let n = RcNetwork::new(&fp, &ThermalConfig::paper());
             let cores = n.core_count();
-            let batch = 3;
+            let lanes = BandedCholeskyFactor::SOLVE_MANY_LANES;
             let mut injections = Vec::new();
-            for lane in 0..batch {
+            for lane in 0..lanes {
                 let mut power = vec![Watts::new(0.019); cores];
-                power[7 * (lane + 1)] = Watts::new(4.0 + lane as f64);
+                power[lane + 1] = Watts::new(4.0 + lane as f64);
                 injections.extend(n.injection(&power));
             }
             let mut many = Vec::new();
-            n.solve_steady_many_into(&injections, batch, &mut many);
+            n.solve_steady_many_into(&injections, &mut many);
             let mut scalar = Vec::new();
-            for lane in 0..batch {
+            for lane in 0..lanes {
                 let nn = n.node_count();
                 n.solve_steady_into(&injections[lane * nn..(lane + 1) * nn], &mut scalar);
                 assert_eq!(

@@ -403,8 +403,8 @@ fn recorded_parallel_campaign_telemetry_is_scheduling_independent() {
     assert_eq!(p.span("campaign.worker").map(|sp| sp.count), Some(2));
     assert_eq!(s.gauge("campaign.jobs").map(|g| g.last), Some(1.0));
     assert_eq!(p.gauge("campaign.jobs").map(|g| g.last), Some(2.0));
-    // The per-worker busy gauge is diagnostic-only but must be present —
-    // the BENCH_9 utilization table divides it by pool wall time.
+    // The per-worker busy gauge is diagnostic-only but must be present:
+    // it is how a profile reads each worker's share of pool wall time.
     assert!(
         p.gauge("campaign.worker_busy_seconds").is_some(),
         "worker busy gauge missing"
